@@ -96,14 +96,8 @@ type API struct {
 	// stats and metrics paths for per-tenant rejection counts. Atomic so a
 	// limiter can be attached after the API is already serving.
 	limiter atomic.Pointer[RateLimiter]
-	// slowQueryNanos is cfg.SlowQueryThreshold in nanoseconds, 0 when
-	// slow-query tracing is off.
-	slowQueryNanos int64
-	// slow receives slow-query trace lines.
-	slow *slog.Logger
-	// tracer is nil when tracing is off; Sample and the span methods are
-	// nil-safe, so the hot path never branches on it.
-	tracer *trace.Tracer
+	// queries is the /query path shared with the wire edge.
+	queries queryPipeline
 
 	// logf emits operational warnings; swappable in tests.
 	logf func(format string, args ...any)
@@ -118,12 +112,13 @@ func NewAPI(mgr *SessionManager, cfg APIConfig) *API {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
 	a := &API{mgr: mgr, cfg: cfg, mux: http.NewServeMux(), logf: log.Printf}
-	a.slowQueryNanos = int64(cfg.SlowQueryThreshold)
-	a.slow = cfg.Logger
-	if a.slow == nil {
-		a.slow = slog.Default()
+	a.queries = queryPipeline{
+		mgr: mgr, tracer: cfg.Tracer, edge: "http", route: "/v1/sessions/{id}/query",
+		maxBatch: cfg.MaxBatch, slowNanos: int64(cfg.SlowQueryThreshold), slow: cfg.Logger,
 	}
-	a.tracer = cfg.Tracer
+	if a.queries.slow == nil {
+		a.queries.slow = slog.Default()
+	}
 	patterns := []string{
 		"/v1/mechanisms",
 		"/v1/sessions",
@@ -169,8 +164,8 @@ func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if a.inFlight.Add(1) > int64(a.cfg.MaxInFlight) {
 			a.inFlight.Add(-1)
 			a.mgr.shedHTTP.Add(1)
-			a.writeUnavailable(w, CodeUnavailable,
-				"server overloaded: in-flight request cap reached, retry shortly")
+			a.writeError(w, failure{CodeUnavailable,
+				"server overloaded: in-flight request cap reached, retry shortly", DefaultRetryAfterSeconds})
 			return
 		}
 		defer a.inFlight.Add(-1)
@@ -233,14 +228,31 @@ const (
 // load drains; a stalled store usually recovers or pages an operator).
 const DefaultRetryAfterSeconds = 1
 
+// httpStatus is the HTTP status each error code is served with.
+var httpStatus = map[string]int{
+	CodeBadRequest:       http.StatusBadRequest,
+	CodeNotFound:         http.StatusNotFound,
+	CodeMethodNotAllowed: http.StatusMethodNotAllowed,
+	CodeTooLarge:         http.StatusRequestEntityTooLarge,
+	CodeTooManySessions:  http.StatusTooManyRequests,
+	CodeRateLimited:      http.StatusTooManyRequests,
+	CodeStoreFailure:     http.StatusServiceUnavailable,
+	CodeUnavailable:      http.StatusServiceUnavailable,
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	return json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	_ = writeJSON(w, status, ErrorBody{ErrorDetail{Code: code, Message: msg}})
+// writeError renders a failure: the status httpStatus maps its code to, a
+// Retry-After header when it carries a retry hint, and the ErrorBody.
+func writeError(w http.ResponseWriter, f failure) error {
+	if f.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.FormatUint(f.retryAfter, 10))
+	}
+	return writeJSON(w, httpStatus[f.code], ErrorBody{ErrorDetail{Code: f.code, Message: f.msg}})
 }
 
 // writeJSON is the API's counting variant: an encode or write failure can
@@ -253,16 +265,10 @@ func (a *API) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-func (a *API) writeError(w http.ResponseWriter, status int, code, msg string) {
-	a.writeJSON(w, status, ErrorBody{ErrorDetail{Code: code, Message: msg}})
-}
-
-// writeUnavailable writes a 503 that consistently carries Retry-After,
-// whatever the code (store_failure or unavailable): every 503 this API
-// emits is retryable by construction, so every one carries the hint.
-func (a *API) writeUnavailable(w http.ResponseWriter, code, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(DefaultRetryAfterSeconds))
-	a.writeError(w, http.StatusServiceUnavailable, code, msg)
+func (a *API) writeError(w http.ResponseWriter, f failure) {
+	if err := writeError(w, f); err != nil {
+		a.countEncodeFailure(err)
+	}
 }
 
 func (a *API) countEncodeFailure(err error) {
@@ -270,17 +276,15 @@ func (a *API) countEncodeFailure(err error) {
 	a.logf("server: response encode/write failed (response truncated): %v", err)
 }
 
-// writeBodyTooLarge and writeBatchTooLarge format the two 413 responses.
-// They live outside the //svt:hotpath scope on purpose: a request that
-// trips a cap is already off the fast path, so it may pay for fmt.
-func (a *API) writeBodyTooLarge(w http.ResponseWriter) {
-	a.writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-		fmt.Sprintf("request body exceeds %d bytes", a.cfg.MaxBodyBytes))
-}
-
-func (a *API) writeBatchTooLarge(w http.ResponseWriter, n int) {
-	a.writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-		fmt.Sprintf("batch of %d exceeds the cap of %d", n, a.cfg.MaxBatch))
+// bodyFailure classifies a failed request-body read or decode. It lives
+// outside the //svt:hotpath scope on purpose: a request that trips the
+// body cap is already off the fast path, so it may pay for fmt.
+func (a *API) bodyFailure(err error) failure {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return failure{CodeTooLarge, fmt.Sprintf("request body exceeds %d bytes", a.cfg.MaxBodyBytes), 0}
+	}
+	return failure{CodeBadRequest, "bad request body: " + err.Error(), 0}
 }
 
 // decodeBody decodes one JSON value, enforcing the body-size cap and
@@ -290,28 +294,23 @@ func (a *API) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, a.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			a.writeBodyTooLarge(w)
-			return false
-		}
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error())
+		a.writeError(w, a.bodyFailure(err))
 		return false
 	}
 	if dec.More() {
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, "trailing data after JSON body")
+		a.writeError(w, failure{CodeBadRequest, "trailing data after JSON body", 0})
 		return false
 	}
 	return true
 }
 
 func (a *API) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	a.writeError(w, http.StatusNotFound, CodeNotFound, "no such endpoint: "+r.URL.Path)
+	a.writeError(w, failure{CodeNotFound, "no such endpoint: " + r.URL.Path, 0})
 }
 
 func (a *API) methodNotAllowed(w http.ResponseWriter, want string) {
 	w.Header().Set("Allow", want)
-	a.writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, want+" required")
+	a.writeError(w, failure{CodeMethodNotAllowed, want + " required", 0})
 }
 
 // CreateResponse is the POST /v1/sessions response body.
@@ -335,21 +334,14 @@ func (a *API) handleSessions(w http.ResponseWriter, r *http.Request) {
 	// the body set it would let one tenant book sessions against another.
 	params.Tenant = r.Header.Get(TenantHeader)
 	s, err := a.mgr.Create(params)
-	switch {
-	case errors.Is(err, ErrTooManySessions):
-		a.writeError(w, http.StatusTooManyRequests, CodeTooManySessions, err.Error())
-	case errors.Is(err, ErrUnavailable):
-		a.writeUnavailable(w, CodeUnavailable, err.Error())
-	case errors.Is(err, ErrStoreAppend):
-		a.writeUnavailable(w, CodeStoreFailure, err.Error())
-	case err != nil:
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-	default:
-		a.writeJSON(w, http.StatusCreated, CreateResponse{
-			SessionStatus: s.Status(),
-			TTLSeconds:    s.ttl.Seconds(),
-		})
+	if err != nil {
+		a.writeError(w, classify(err, ""))
+		return
 	}
+	a.writeJSON(w, http.StatusCreated, CreateResponse{
+		SessionStatus: s.Status(),
+		TTLSeconds:    s.ttl.Seconds(),
+	})
 }
 
 func (a *API) handleSession(w http.ResponseWriter, r *http.Request) {
@@ -358,13 +350,13 @@ func (a *API) handleSession(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		s, ok := a.mgr.Get(id)
 		if !ok {
-			a.writeError(w, http.StatusNotFound, CodeNotFound, "no such session: "+id)
+			a.writeError(w, noSuchSession(id))
 			return
 		}
 		a.writeJSON(w, http.StatusOK, s.Status())
 	case http.MethodDelete:
 		if !a.mgr.Delete(id) {
-			a.writeError(w, http.StatusNotFound, CodeNotFound, "no such session: "+id)
+			a.writeError(w, noSuchSession(id))
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -384,11 +376,10 @@ type queryRequest struct {
 // recycled through queryPool so the steady state allocates neither request
 // buffers, decoded requests, result slices nor response buffers.
 type queryScratch struct {
-	req     queryRequest
-	one     [1]QueryItem
-	results []QueryResult
-	buf     []byte // body read, then reused for the response encode
-	trace   QueryTrace
+	req  queryRequest
+	one  [1]QueryItem
+	buf  []byte // body read, then reused for the response encode
+	call queryCall
 }
 
 var queryPool = sync.Pool{New: func() any {
@@ -415,10 +406,10 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-// handleQuery is the serving hot path: pooled scratch in, one
-// json.Unmarshal of the raw body (no Decoder allocation; Unmarshal rejects
-// trailing garbage by itself), results appended into a recycled slice, and
-// a hand-rolled response encode into a recycled buffer.
+// handleQuery is the HTTP edge of the query pipeline: pooled scratch in,
+// one json.Unmarshal of the raw body (no Decoder allocation; Unmarshal
+// rejects trailing garbage by itself), the pipeline, and a hand-rolled
+// response encode into a recycled buffer.
 //
 //svt:hotpath
 func (a *API) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -429,144 +420,60 @@ func (a *API) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sc := queryPool.Get().(*queryScratch)
 	defer func() {
 		sc.req = queryRequest{} // drop decoded pointers; keeps nothing alive
-		sc.trace = QueryTrace{} // drop the span; a pooled scratch must not pin a trace
+		sc.call.reset()
 		queryPool.Put(sc)
 	}()
-	// Correlation: every /query response carries an X-Request-Id — the
-	// client's own when it sent one, a freshly minted one otherwise — so
-	// any response can be quoted in a support ticket and matched to logs.
-	// The mint is two small allocations, which the hot-path allocation
-	// budget absorbs (see TestQueryHotPathAllocs).
-	reqID := r.Header.Get("X-Request-Id")
-	hasCorr := reqID != ""
-	if !hasCorr {
-		reqID = newRequestID()
-	}
-	w.Header().Set("X-Request-Id", reqID)
-	// Head-sample the trace decision before any work so the decode is
-	// inside the trace. A request already carrying correlation (a valid
-	// traceparent or its own request ID) is always sampled: someone
-	// upstream is following it.
+	// Correlation comes from the headers, so the pipeline starts before the
+	// decode and every response — errors included — carries X-Request-Id.
 	// The canonical-form key matters: Header.Get on a non-canonical key
 	// ("traceparent") pays a per-call canonicalization allocation.
-	tpID, _, hasTP := trace.ParseTraceparent(r.Header.Get("Traceparent"))
-	var root *trace.Span
-	if a.tracer.Sample(hasCorr || hasTP) {
-		var tid trace.TraceID
-		if hasTP {
-			tid = tpID
-		}
-		root = a.tracer.StartRoot("http", "/v1/sessions/{id}/query", reqID, tid)
-		w.Header().Set("Traceparent", trace.FormatTraceparent(root.TraceID(), root.SpanID()))
+	q := &sc.call
+	tp, _, _ := trace.ParseTraceparent(r.Header.Get("Traceparent"))
+	a.queries.begin(q, r.Header.Get("X-Request-Id"), tp)
+	defer q.root.End()
+	w.Header().Set("X-Request-Id", q.corr)
+	if q.root != nil {
+		w.Header().Set("Traceparent", trace.FormatTraceparent(q.root.TraceID(), q.root.SpanID()))
 		if sw, ok := w.(*statusWriter); ok {
-			sw.exemplar = root.TraceIDString()
+			sw.exemplar = q.root.TraceIDString()
 		}
-		defer root.End()
 	}
-	ds := root.StartChild("decode")
 	r.Body = http.MaxBytesReader(w, r.Body, a.cfg.MaxBodyBytes)
 	body, err := readBody(r.Body, sc.buf[:0])
 	sc.buf = body[:0]
+	if err == nil {
+		err = json.Unmarshal(body, &sc.req)
+	}
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			a.writeBodyTooLarge(w)
-			return
-		}
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error())
+		a.writeError(w, a.bodyFailure(err))
 		return
 	}
-	if err := json.Unmarshal(body, &sc.req); err != nil {
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	ds.End()
 	items := sc.req.Queries
 	if items == nil {
 		sc.one[0] = sc.req.QueryItem
 		items = sc.one[:]
 	}
-	switch {
-	case len(items) == 0:
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, "empty query batch")
-		return
-	case len(items) > a.cfg.MaxBatch:
-		a.writeBatchTooLarge(w, len(items))
+	res, f := a.queries.run(q, r.PathValue("id"), items)
+	if f.code != "" {
+		a.writeError(w, f)
 		return
 	}
-	id := r.PathValue("id")
-	root.SetAttr("session", id)
-	root.SetAttrInt("batch", int64(len(items)))
-	var res BatchResult
-	if a.slowQueryNanos > 0 || root != nil {
-		// The traced manager path is opt-in: only a slow-query threshold
-		// or a sampled trace makes the request read the clock twice and
-		// thread a trace through the manager.
-		start := telemetry.Now()
-		sc.trace = QueryTrace{TraceID: reqID, Span: root}
-		res, err = a.mgr.QueryTraced(id, items, sc.results[:0], &sc.trace)
-		if a.slowQueryNanos > 0 {
-			if dur := telemetry.Now() - start; dur >= a.slowQueryNanos {
-				a.logSlowQuery(&sc.trace, id, len(items), dur, err)
-			}
-		}
-	} else {
-		res, err = a.mgr.QueryInto(id, items, sc.results[:0])
+	es := q.root.StartChild("encode")
+	defer es.End()
+	out, ok := appendBatchResultJSON(sc.buf[:0], &res)
+	sc.buf = out[:0]
+	if !ok {
+		// A non-finite released value cannot be represented in JSON; fall
+		// back to the stdlib path so the failure is accounted the same way
+		// it always was.
+		a.writeJSON(w, http.StatusOK, res)
+		return
 	}
-	if cap(res.Results) > cap(sc.results) {
-		sc.results = res.Results[:0]
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, werr := w.Write(out); werr != nil {
+		a.countEncodeFailure(werr)
 	}
-	switch {
-	case errors.Is(err, ErrSessionNotFound):
-		a.writeError(w, http.StatusNotFound, CodeNotFound, "no such session: "+r.PathValue("id"))
-	case errors.Is(err, ErrUnavailable):
-		a.writeUnavailable(w, CodeUnavailable, err.Error())
-	case errors.Is(err, ErrStoreAppend):
-		a.writeUnavailable(w, CodeStoreFailure, err.Error())
-	case err != nil:
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-	default:
-		es := root.StartChild("encode")
-		out, ok := appendBatchResultJSON(sc.buf[:0], &res)
-		sc.buf = out[:0]
-		if !ok {
-			// A non-finite released value cannot be represented in JSON;
-			// fall back to the stdlib path so the failure is accounted the
-			// same way it always was.
-			a.writeJSON(w, http.StatusOK, res)
-			es.End()
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		if _, werr := w.Write(out); werr != nil {
-			a.countEncodeFailure(werr)
-		}
-		es.End()
-	}
-}
-
-// logSlowQuery emits the structured trace line for a /query request that
-// ran at or over the configured threshold. The line carries everything
-// needed to chase the latency: the trace ID, the session, its mechanism,
-// the batch size, the total duration, and how much of it was spent waiting
-// on the WAL group-commit flush.
-func (a *API) logSlowQuery(tr *QueryTrace, id string, batch int, dur int64, err error) {
-	if tr.TraceID == "" {
-		tr.TraceID = newRequestID()
-	}
-	attrs := []any{
-		slog.String("traceId", tr.TraceID),
-		slog.String("session", id),
-		slog.String("mechanism", string(tr.Mechanism)),
-		slog.Int("batch", batch),
-		slog.Duration("duration", time.Duration(dur)),
-		slog.Duration("journalWait", time.Duration(tr.JournalNanos)),
-	}
-	if err != nil {
-		attrs = append(attrs, slog.String("error", err.Error()))
-	}
-	a.slow.Warn("slow query", attrs...)
 }
 
 // appendBatchResultJSON encodes a BatchResult exactly as encoding/json

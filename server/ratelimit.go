@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -230,21 +229,26 @@ func (rl *RateLimiter) Middleware(next http.Handler) http.Handler {
 			return
 		}
 		tenant := r.Header.Get(TenantHeader)
-		ok, wait := rl.Allow(tenant)
-		if !ok {
-			secs := int(math.Ceil(wait.Seconds()))
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			label := tenant
-			if label == "" {
-				label = "default"
-			}
-			writeError(w, http.StatusTooManyRequests, CodeRateLimited,
-				fmt.Sprintf("tenant %q exceeded %g requests/sec", label, rl.rate))
+		if ok, wait := rl.Allow(tenant); !ok {
+			// A failed write means the client is gone; unlike the API,
+			// the limiter keeps no encode-failure count.
+			_ = writeError(w, rl.rejection(tenant, wait))
 			return
 		}
 		next.ServeHTTP(w, r)
 	})
+}
+
+// rejection formats a refused request the same way on both edges: the
+// rate_limited code, the tenant and its rate, and a retry hint of the
+// refill wait rounded up to whole seconds (at least one).
+func (rl *RateLimiter) rejection(tenant string, wait time.Duration) failure {
+	secs := uint64(math.Ceil(wait.Seconds()))
+	if secs < 1 {
+		secs = 1
+	}
+	if tenant == "" {
+		tenant = "default"
+	}
+	return failure{CodeRateLimited, fmt.Sprintf("tenant %q exceeded %g requests/sec", tenant, rl.rate), secs}
 }

@@ -77,7 +77,7 @@ type ManagerConfig struct {
 	// registry serves one manager.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, lets trace-sampled requests (threaded in through
-	// QueryTraced's span) pick up the store's flush-phase breakdown: the
+	// the QueryTrace span) pick up the store's flush-phase breakdown: the
 	// manager attaches a store.Instrumenter even without a Telemetry
 	// registry so the journal span gains gather/write/sync children. Use
 	// the same Tracer in APIConfig. nil with nil Telemetry means no
@@ -599,13 +599,14 @@ func (m *SessionManager) Len() int { return int(m.live.Load()) }
 func (m *SessionManager) Shards() int { return len(m.shards) }
 
 // QueryTrace carries per-request observability through the manager: the
-// HTTP layer hands one in (from its pooled scratch, so tracing allocates
-// nothing) and the manager fills in what only it can see — the session's
-// mechanism and how long the journal append (the WAL flush wait) took.
-// The trace ID travels with it into whatever log line the request earns.
+// query pipeline hands one in (from its pooled scratch, so tracing
+// allocates nothing) and the manager fills in what only it can see — the
+// session's mechanism and how long the journal append (the WAL flush
+// wait) took. The trace ID travels with it into whatever log line the
+// request earns.
 type QueryTrace struct {
-	// TraceID is the request's correlation ID (X-Request-Id, or generated
-	// at log time when the client sent none).
+	// TraceID is the request's correlation ID: the caller's X-Request-Id
+	// or wire correlation ID, or the one minted for it.
 	TraceID string
 	// Mechanism is the queried session's mechanism, filled by the manager.
 	Mechanism Mechanism
@@ -629,33 +630,22 @@ func exemplarID(tr *QueryTrace) string {
 }
 
 // Query routes a batch to the session, journals the released progress and
-// maintains the per-mechanism counters. It is the call sites' single entry
-// point so HTTP and direct (in-process) users share the accounting. When
-// the journal append fails the whole response is withheld (ErrStoreAppend):
-// an analyst must never observe a DP release the store could forget.
+// maintains the per-mechanism counters, so the serving edges and direct
+// (in-process) users share the accounting. When the journal append fails
+// the whole response is withheld (ErrStoreAppend): an analyst must never
+// observe a DP release the store could forget.
 func (m *SessionManager) Query(id string, items []QueryItem) (BatchResult, error) {
 	return m.queryInto(id, items, nil, nil)
 }
 
-// QueryInto is Query writing its results into dst's backing array (dst may
-// be nil): the HTTP layer recycles result slices across requests through
-// it. Callers that retain the results must pass nil.
-func (m *SessionManager) QueryInto(id string, items []QueryItem, dst []QueryResult) (BatchResult, error) {
-	return m.queryInto(id, items, dst, nil)
-}
-
-// QueryTraced is QueryInto additionally filling tr (which must be
-// non-nil) with the request's trace details; the extra clock reads around
-// the journal append make it marginally more expensive than QueryInto,
-// which is why slow-query tracing is opt-in.
-func (m *SessionManager) QueryTraced(id string, items []QueryItem, dst []QueryResult, tr *QueryTrace) (BatchResult, error) {
-	return m.queryInto(id, items, dst, tr)
-}
-
-// queryInto is the single query entry point. Per-mechanism counting
-// happens inside queryTake (under the session lock, where the deltas are
-// exact); this level adds journaling, the sampled latency histogram and
-// trace capture.
+// queryInto is the single query entry point. It writes the results into
+// dst's backing array (dst may be nil), so the query pipeline recycles
+// result slices across requests; callers that retain the results pass
+// nil. A non-nil tr is filled with the request's trace details, at the
+// cost of a few clock reads around the journal append. Per-mechanism
+// counting happens inside queryTake (under the session lock, where the
+// deltas are exact); this level adds journaling, the sampled latency
+// histogram and trace capture.
 func (m *SessionManager) queryInto(id string, items []QueryItem, dst []QueryResult, tr *QueryTrace) (BatchResult, error) {
 	start, sampled := m.tel.sampleQueryStart()
 	s, ok := m.Get(id)
@@ -673,7 +663,7 @@ func (m *SessionManager) queryInto(id string, items []QueryItem, dst []QueryResu
 	}
 	if m.store == nil {
 		as := ms.StartChild("answer")
-		res, err := s.queryInto(items, dst)
+		res, _, err := s.queryTake(items, dst, false)
 		as.End()
 		ms.End()
 		if sampled && err == nil {

@@ -320,30 +320,18 @@ func (s *Session) ID() string { return s.id }
 // Mechanism returns the session's mechanism name.
 func (s *Session) Mechanism() Mechanism { return s.mech }
 
-// Query answers a batch of queries (a single query is a batch of one).
+// queryTake answers a batch of queries (a single query is a batch of
+// one), writing the results into dst's backing array (dst may be nil).
 // The whole batch is validated before any item is answered: released DP
 // answers spend budget irrevocably, so a malformed item must not cost
 // the analyst the answers preceding it. The batch stops early — without
 // error — when the mechanism halts; the returned BatchResult reports how
 // far it got. A query on an already-halted SVT session returns an empty,
 // Halted result; a mediator session keeps answering from the synthetic
-// histogram with the Exhausted flag set.
-func (s *Session) Query(items []QueryItem) (BatchResult, error) {
-	return s.queryInto(items, nil)
-}
-
-// queryInto is Query writing its results into dst's backing array (dst may
-// be nil), so the HTTP hot path can recycle result slices across requests.
-// The returned BatchResult.Results aliases dst when capacity sufficed;
-// callers that retain results across calls must pass nil.
-func (s *Session) queryInto(items []QueryItem, dst []QueryResult) (BatchResult, error) {
-	res, _, err := s.queryTake(items, dst, false)
-	return res, err
-}
-
-// queryTake is queryInto optionally capturing the journal progress delta
-// in the SAME critical section, so the journaling path locks the session
-// mutex once per batch instead of twice.
+// histogram with the Exhausted flag set. With take set it also captures
+// the journal progress delta in the SAME critical section, so the
+// journaling path locks the session mutex once per batch instead of
+// twice.
 func (s *Session) queryTake(items []QueryItem, dst []QueryResult, take bool) (BatchResult, progressDelta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

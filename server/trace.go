@@ -1,9 +1,9 @@
 package server
 
 // Trace retrieval endpoints and request-ID minting. The capture side
-// lives in the hot path (handleQuery starts the root span, the manager
-// adds its children in queryInto); this file is the read side — the
-// operator asking "what did that slow request actually spend its time
+// lives in the hot path (the query pipeline starts the root span, the
+// manager adds its children in queryInto); this file is the read side —
+// the operator asking "what did that slow request actually spend its time
 // on" — plus the ID mint both sides share.
 
 import (
@@ -53,7 +53,7 @@ func (a *API) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s := q.Get("minMs"); s != "" {
 		ms, err := strconv.ParseFloat(s, 64)
 		if err != nil || ms < 0 {
-			a.writeError(w, http.StatusBadRequest, CodeBadRequest, "minMs must be a non-negative number")
+			a.writeError(w, failure{CodeBadRequest, "minMs must be a non-negative number", 0})
 			return
 		}
 		minDur = time.Duration(ms * float64(time.Millisecond))
@@ -62,12 +62,12 @@ func (a *API) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s := q.Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n <= 0 {
-			a.writeError(w, http.StatusBadRequest, CodeBadRequest, "limit must be a positive integer")
+			a.writeError(w, failure{CodeBadRequest, "limit must be a positive integer", 0})
 			return
 		}
 		limit = n
 	}
-	sums := a.tracer.Recent(q.Get("route"), minDur, limit)
+	sums := a.cfg.Tracer.Recent(q.Get("route"), minDur, limit)
 	if sums == nil {
 		sums = []trace.Summary{} // render [] rather than null
 	}
@@ -82,9 +82,9 @@ func (a *API) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	v, ok := a.tracer.Lookup(id)
+	v, ok := a.cfg.Tracer.Lookup(id)
 	if !ok {
-		a.writeError(w, http.StatusNotFound, CodeNotFound, "no retained trace: "+id)
+		a.writeError(w, failure{CodeNotFound, "no retained trace: " + id, 0})
 		return
 	}
 	a.writeJSON(w, http.StatusOK, v)

@@ -1,9 +1,9 @@
 package server
 
 // End-to-end tests for the tracing subsystem: request-ID correlation,
-// W3C traceparent handling, and the golden span tree a WAL-backed /query
-// must produce (HTTP → manager → journal wait → store sync, with child
-// durations nesting inside their parents).
+// W3C traceparent handling, and the golden span tree a WAL-backed query
+// must produce on either edge (edge root → manager → journal wait → store
+// sync, with child durations nesting inside their parents).
 
 import (
 	"encoding/json"
@@ -46,11 +46,11 @@ func isHex(s string) bool {
 
 // TestRequestIDAlwaysEchoed: every /query response carries an
 // X-Request-Id — the client's own verbatim, or a minted 16-hex one —
-// with or without tracing configured.
+// with or without tracing configured, error responses included.
 func TestRequestIDAlwaysEchoed(t *testing.T) {
 	m := NewSessionManager(ManagerConfig{SweepInterval: time.Hour})
 	defer m.Close()
-	api := NewAPI(m, APIConfig{})
+	api := NewAPI(m, APIConfig{MaxBatch: 2})
 	s := mustCreate(t, m, sparseParams())
 
 	rec := postQuery(t, api, s.ID(), nil)
@@ -66,6 +66,34 @@ func TestRequestIDAlwaysEchoed(t *testing.T) {
 	rec3 := postQuery(t, api, s.ID(), map[string]string{"X-Request-Id": "client-chose-this"})
 	if got := rec3.Header().Get("X-Request-Id"); got != "client-chose-this" {
 		t.Fatalf("client request ID not echoed verbatim: %q", got)
+	}
+
+	for _, tc := range []struct {
+		name, session, body string
+		status              int
+	}{
+		{"malformed body", s.ID(), `{"query":`, http.StatusBadRequest},
+		{"unknown session", "nope", `{"query":0}`, http.StatusNotFound},
+		{"over-cap batch", s.ID(), `{"queries":[{"query":0},{"query":0},{"query":0}]}`, http.StatusRequestEntityTooLarge},
+	} {
+		for _, sent := range []string{"", "client-" + tc.session} {
+			req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+tc.session+"/query", strings.NewReader(tc.body))
+			if sent != "" {
+				req.Header.Set("X-Request-Id", sent)
+			}
+			rec := httptest.NewRecorder()
+			api.ServeHTTP(rec, req)
+			if rec.Code != tc.status {
+				t.Fatalf("%s: status %d, want %d: %s", tc.name, rec.Code, tc.status, rec.Body.String())
+			}
+			got := rec.Header().Get("X-Request-Id")
+			if sent == "" && (len(got) != 16 || !isHex(got)) {
+				t.Fatalf("%s: minted X-Request-Id %q, want 16 hex chars", tc.name, got)
+			}
+			if sent != "" && got != sent {
+				t.Fatalf("%s: X-Request-Id %q, want the client's %q", tc.name, got, sent)
+			}
+		}
 	}
 }
 
@@ -124,10 +152,12 @@ func findChild(n trace.Node, name string) (trace.Node, bool) {
 	return trace.Node{}, false
 }
 
-// TestWALQuerySpanTree is the golden trace test: one WAL-backed /query
-// under SyncAlways must retain a span tree whose chain runs HTTP →
-// manager → journal.wait → store.sync, with every child's interval
-// nested inside its parent's.
+// TestWALQuerySpanTree is the golden trace test, run over both edges: one
+// WAL-backed query under SyncAlways must retain a span tree whose chain
+// runs edge root → manager → journal.wait → store.sync, with every
+// child's interval nested inside its parent's, decode and encode spans
+// beside the manager, and the same shape on both edges. The correlation
+// ID each edge returns resolves the tree through GET /v1/traces/{id}.
 func TestWALQuerySpanTree(t *testing.T) {
 	st, err := store.NewWAL(store.WALConfig{Dir: t.TempDir(), Sync: store.SyncAlways})
 	if err != nil {
@@ -146,83 +176,115 @@ func TestWALQuerySpanTree(t *testing.T) {
 	}
 	defer m.Close()
 	api := NewAPI(m, APIConfig{Tracer: tracer})
+	addr := startWireServer(t, NewWireServer(m, WireConfig{Tracer: tracer}))
 	s := mustCreate(t, m, sparseParams())
 
-	rec := postQuery(t, api, s.ID(), nil)
-	reqID := rec.Header().Get("X-Request-Id")
-	if reqID == "" {
-		t.Fatal("no request ID on a traced response")
+	edges := []struct {
+		root, route string
+		// query sends one traced query and returns its correlation ID.
+		query func(t *testing.T) string
+	}{
+		{"http", "/v1/sessions/{id}/query", func(t *testing.T) string {
+			return postQuery(t, api, s.ID(), nil).Header().Get("X-Request-Id")
+		}},
+		{"wire", "wire:query", func(t *testing.T) string {
+			qr, ef := dialWire(t, addr, "", "").query(s.ID(), "", sureNegativeWire())
+			if ef != nil {
+				t.Fatalf("wire query: %+v", ef)
+			}
+			return string(qr.Corr)
+		}},
 	}
+	shapes := make(map[string]string)
+	for _, edge := range edges {
+		t.Run(edge.root, func(t *testing.T) {
+			reqID := edge.query(t)
+			if reqID == "" {
+				t.Fatal("no request ID on a traced response")
+			}
 
-	// The listing endpoint sees the trace...
-	lrec := httptest.NewRecorder()
-	api.ServeHTTP(lrec, httptest.NewRequest(http.MethodGet, "/v1/traces?route=/v1/sessions/{id}/query", nil))
-	if lrec.Code != http.StatusOK {
-		t.Fatalf("/v1/traces status %d", lrec.Code)
-	}
-	var listing TracesResponse
-	if err := json.Unmarshal(lrec.Body.Bytes(), &listing); err != nil {
-		t.Fatal(err)
-	}
-	if len(listing.Traces) == 0 {
-		t.Fatal("/v1/traces listed nothing after a traced query")
-	}
-	if listing.Traces[0].Spans < 4 {
-		t.Fatalf("trace summary counts %d spans, want >= 4", listing.Traces[0].Spans)
-	}
+			// The listing endpoint sees the trace under the edge's route...
+			lrec := httptest.NewRecorder()
+			api.ServeHTTP(lrec, httptest.NewRequest(http.MethodGet, "/v1/traces?route="+edge.route, nil))
+			if lrec.Code != http.StatusOK {
+				t.Fatalf("/v1/traces status %d", lrec.Code)
+			}
+			var listing TracesResponse
+			if err := json.Unmarshal(lrec.Body.Bytes(), &listing); err != nil {
+				t.Fatal(err)
+			}
+			if len(listing.Traces) == 0 {
+				t.Fatal("/v1/traces listed nothing after a traced query")
+			}
+			if listing.Traces[0].Spans < 4 {
+				t.Fatalf("trace summary counts %d spans, want >= 4", listing.Traces[0].Spans)
+			}
 
-	// ...and the detail endpoint serves the tree, addressed by request ID.
-	drec := httptest.NewRecorder()
-	api.ServeHTTP(drec, httptest.NewRequest(http.MethodGet, "/v1/traces/"+reqID, nil))
-	if drec.Code != http.StatusOK {
-		t.Fatalf("/v1/traces/{id} status %d: %s", drec.Code, drec.Body.String())
-	}
-	var v trace.View
-	if err := json.Unmarshal(drec.Body.Bytes(), &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.RequestID != reqID || v.Route != "/v1/sessions/{id}/query" {
-		t.Fatalf("trace identity %+v", v)
-	}
+			// ...and the detail endpoint serves the tree, addressed by the
+			// correlation ID.
+			drec := httptest.NewRecorder()
+			api.ServeHTTP(drec, httptest.NewRequest(http.MethodGet, "/v1/traces/"+reqID, nil))
+			if drec.Code != http.StatusOK {
+				t.Fatalf("/v1/traces/{id} status %d: %s", drec.Code, drec.Body.String())
+			}
+			var v trace.View
+			if err := json.Unmarshal(drec.Body.Bytes(), &v); err != nil {
+				t.Fatal(err)
+			}
+			if v.RequestID != reqID || v.Route != edge.route {
+				t.Fatalf("trace identity %+v", v)
+			}
 
-	// The golden chain. Every hop must exist and nest in its parent.
-	if v.Root.Name != "http" {
-		t.Fatalf("root span %q, want http", v.Root.Name)
-	}
-	nested := func(parent, child trace.Node) {
-		t.Helper()
-		if child.OffsetNanos < parent.OffsetNanos ||
-			child.OffsetNanos+child.DurationNanos > parent.OffsetNanos+parent.DurationNanos {
-			t.Fatalf("span %s [%d,+%d] escapes parent %s [%d,+%d]",
-				child.Name, child.OffsetNanos, child.DurationNanos,
-				parent.Name, parent.OffsetNanos, parent.DurationNanos)
-		}
-	}
-	mgr, ok := findChild(v.Root, "manager")
-	if !ok {
-		t.Fatalf("no manager span under http; children: %+v", v.Root.Children)
-	}
-	nested(v.Root, mgr)
-	jw, ok := findChild(mgr, "journal.wait")
-	if !ok {
-		t.Fatalf("no journal.wait span under manager; children: %+v", mgr.Children)
-	}
-	nested(mgr, jw)
-	sync, ok := findChild(jw, "store.sync")
-	if !ok {
-		t.Fatalf("no store.sync span under journal.wait (SyncAlways flushes every append); children: %+v", jw.Children)
-	}
-	nested(jw, sync)
+			// The golden chain. Every hop must exist and nest in its parent.
+			if v.Root.Name != edge.root {
+				t.Fatalf("root span %q, want %s", v.Root.Name, edge.root)
+			}
+			nested := func(parent, child trace.Node) {
+				t.Helper()
+				if child.OffsetNanos < parent.OffsetNanos ||
+					child.OffsetNanos+child.DurationNanos > parent.OffsetNanos+parent.DurationNanos {
+					t.Fatalf("span %s [%d,+%d] escapes parent %s [%d,+%d]",
+						child.Name, child.OffsetNanos, child.DurationNanos,
+						parent.Name, parent.OffsetNanos, parent.DurationNanos)
+				}
+			}
+			mgr, ok := findChild(v.Root, "manager")
+			if !ok {
+				t.Fatalf("no manager span under %s; children: %+v", edge.root, v.Root.Children)
+			}
+			nested(v.Root, mgr)
+			jw, ok := findChild(mgr, "journal.wait")
+			if !ok {
+				t.Fatalf("no journal.wait span under manager; children: %+v", mgr.Children)
+			}
+			nested(mgr, jw)
+			sync, ok := findChild(jw, "store.sync")
+			if !ok {
+				t.Fatalf("no store.sync span under journal.wait (SyncAlways flushes every append); children: %+v", jw.Children)
+			}
+			nested(jw, sync)
 
-	// The HTTP-layer work spans ride along.
-	if _, ok := findChild(v.Root, "decode"); !ok {
-		t.Fatal("no decode span under http")
+			// The edge's work spans ride along.
+			if _, ok := findChild(v.Root, "decode"); !ok {
+				t.Fatalf("no decode span under %s", edge.root)
+			}
+			if _, ok := findChild(v.Root, "encode"); !ok {
+				t.Fatalf("no encode span under %s", edge.root)
+			}
+			if _, ok := findChild(mgr, "answer"); !ok {
+				t.Fatal("no answer span under manager")
+			}
+			shape := strings.TrimPrefix(shapeOf(v.Root), edge.root)
+			for _, span := range []string{"decode", "manager(answer journal.wait(", "store.sync", "encode"} {
+				if !strings.Contains(shape, span) {
+					t.Fatalf("tree misses %q in the golden chain: %s", span, shape)
+				}
+			}
+			shapes[edge.root] = shape
+		})
 	}
-	if _, ok := findChild(v.Root, "encode"); !ok {
-		t.Fatal("no encode span under http")
-	}
-	if _, ok := findChild(mgr, "answer"); !ok {
-		t.Fatal("no answer span under manager")
+	if shapes["http"] != shapes["wire"] {
+		t.Fatalf("span tree shapes diverge:\n http %s\n wire %s", shapes["http"], shapes["wire"])
 	}
 
 	// An unknown ID 404s.
@@ -231,4 +293,22 @@ func TestWALQuerySpanTree(t *testing.T) {
 	if nrec.Code != http.StatusNotFound {
 		t.Fatalf("unknown trace lookup status %d, want 404", nrec.Code)
 	}
+}
+
+// shapeOf renders a span tree as a nested name list, the structural
+// fingerprint the two edges must share.
+func shapeOf(n trace.Node) string {
+	var b strings.Builder
+	b.WriteString(n.Name)
+	if len(n.Children) > 0 {
+		b.WriteString("(")
+		for i, c := range n.Children {
+			if i > 0 {
+				b.WriteString(" ")
+			}
+			b.WriteString(shapeOf(c))
+		}
+		b.WriteString(")")
+	}
+	return b.String()
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -30,14 +29,15 @@ import (
 // the tenant and an optional traceparent, then carries pipelined
 // request frames whose responses may return out of order (matched by
 // request ID). The per-connection hot path is pooled end to end: reused
-// read buffer, pooled decode scratch, interned session IDs, reused
-// response buffer — see TestWireQueryHotPathAllocs for the pin.
+// read buffer, pooled decode scratch, reused response buffer — see
+// TestWireQueryHotPathAllocs for the pin.
 type WireServer struct {
 	mgr *SessionManager
 	cfg WireConfig
 
-	tracer *trace.Tracer
-	tel    *wireTelemetry
+	// queries is the query path shared with the HTTP edge.
+	queries queryPipeline
+	tel     *wireTelemetry
 	// limiter mirrors API.limiter: attachable after the server is serving.
 	limiter atomic.Pointer[RateLimiter]
 
@@ -50,7 +50,7 @@ type WireServer struct {
 
 	// inFlight counts admitted queries across every connection when
 	// cfg.MaxInFlight is set (untouched otherwise). Admission happens on
-	// the reader goroutines, release when the response is written.
+	// the reader goroutines, release once the response payload is built.
 	inFlight atomic.Int64
 
 	logf func(format string, args ...any)
@@ -83,11 +83,6 @@ type WireConfig struct {
 	MaxFrameBytes int
 	// MaxBatch caps queries per batch; 0 means DefaultMaxBatch.
 	MaxBatch int
-	// Workers caps the per-connection pipeline workers that serve
-	// out-of-order responses; 0 means DefaultWireWorkers. A connection
-	// that never pipelines (next request only after the response) is
-	// served inline by its reader goroutine and spawns no workers.
-	Workers int
 	// Telemetry, when set, registers the svt_wire_* families. Use the
 	// same registry as the manager and the HTTP API so one scrape covers
 	// every edge.
@@ -111,12 +106,11 @@ type WireConfig struct {
 	MaxInFlight int
 }
 
-// DefaultWireWorkers is the per-connection pipeline worker cap.
-const DefaultWireWorkers = 4
-
-// wireQueryRoute is the route label wire queries carry in trace trees, so
-// /v1/traces?route= separates the two edges.
-const wireQueryRoute = "wire:query"
+// wireWorkers caps the per-connection pipeline workers that serve
+// out-of-order responses. A connection that never pipelines (next request
+// only after the response) is served inline by its reader goroutine and
+// spawns no workers.
+const wireWorkers = 4
 
 // ErrWireServerClosed is returned by Serve after Shutdown, mirroring
 // http.ErrServerClosed.
@@ -130,16 +124,16 @@ func NewWireServer(mgr *SessionManager, cfg WireConfig) *WireServer {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = DefaultWireWorkers
-	}
 	ws := &WireServer{
-		mgr:    mgr,
-		cfg:    cfg,
-		tracer: cfg.Tracer,
-		lns:    make(map[net.Listener]struct{}),
-		conns:  make(map[*wireConn]struct{}),
-		logf:   log.Printf,
+		mgr: mgr,
+		cfg: cfg,
+		// No slow-query line: its threshold is an HTTP option.
+		queries: queryPipeline{
+			mgr: mgr, tracer: cfg.Tracer, edge: "wire", route: "wire:query", maxBatch: cfg.MaxBatch,
+		},
+		lns:   make(map[net.Listener]struct{}),
+		conns: make(map[*wireConn]struct{}),
+		logf:  log.Printf,
 	}
 	if cfg.Telemetry != nil {
 		ws.tel = registerWireTelemetry(cfg.Telemetry)
@@ -307,20 +301,17 @@ func (t *wireTelemetry) count(opIdx int, ok bool) {
 
 // wireScratch is the pooled per-request working set of the wire query
 // path: decoded request (with its bucket arena), the manager-facing item
-// and threshold slices, result slices for both representations, the
-// response encode buffer and the minted-correlation buffer.
+// and threshold slices, the pipeline call with its result slice, the
+// codec's result slice, the response encode buffer and the correlation
+// buffer.
 type wireScratch struct {
 	req        wire.QueryRequest
 	items      []QueryItem
 	thresholds []float64
-	results    []QueryResult
+	call       queryCall
 	wres       []wire.Result
 	out        []byte
 	corr       []byte
-	trace      QueryTrace
-	// exemplar carries a trace-sampled request's trace ID from
-	// queryResponse to the latency observation.
-	exemplar string
 }
 
 var wireScratchPool = sync.Pool{New: func() any {
@@ -336,8 +327,9 @@ type wireJob struct {
 }
 
 // wireConn is one accepted connection. The reader goroutine owns br,
-// readBuf, sc and the sessions map; responses (reader's or workers') are
-// serialized by wmu over the shared buffered writer.
+// readBuf and sc; responses (reader's or workers') are serialized by wmu
+// over the shared buffered writer. Everything else a worker touches is
+// its own scratch or read-only after the handshake.
 type wireConn struct {
 	srv *WireServer
 	c   net.Conn
@@ -347,14 +339,8 @@ type wireConn struct {
 	bw  *bufio.Writer
 
 	tenant string
-	tpID   trace.TraceID
-	hasTP  bool
-
-	// sessions interns session-ID strings so repeat queries on a
-	// connection don't allocate a string per request. Bounded; a
-	// connection touching more sessions than the cap pays the allocation
-	// past it.
-	sessions map[string]string
+	// tpID is the trace ID of the hello's traceparent, zero without one.
+	tpID trace.TraceID
 
 	readBuf []byte
 	sc      *wireScratch
@@ -369,17 +355,13 @@ type wireConn struct {
 	draining atomic.Bool
 }
 
-// internedSessionsCap bounds the per-connection session-ID intern map.
-const internedSessionsCap = 4096
-
 func (ws *WireServer) newConn(conn net.Conn) *wireConn {
 	return &wireConn{
-		srv:      ws,
-		c:        conn,
-		br:       bufio.NewReaderSize(conn, 16<<10),
-		bw:       bufio.NewWriterSize(conn, 16<<10),
-		sessions: make(map[string]string),
-		sc:       wireScratchPool.Get().(*wireScratch),
+		srv: ws,
+		c:   conn,
+		br:  bufio.NewReaderSize(conn, 16<<10),
+		bw:  bufio.NewWriterSize(conn, 16<<10),
+		sc:  wireScratchPool.Get().(*wireScratch),
 	}
 }
 
@@ -421,8 +403,7 @@ func (c *wireConn) serve() {
 // the pool pins no session state, span or decoded pointers.
 func (sc *wireScratch) release() {
 	sc.req.Session, sc.req.Corr = nil, nil
-	sc.trace = QueryTrace{}
-	sc.exemplar = ""
+	sc.call.reset()
 	wireScratchPool.Put(sc)
 }
 
@@ -442,7 +423,7 @@ func (c *wireConn) run() {
 		c.readBuf = payload
 		if err != nil {
 			if errors.Is(err, wire.ErrFrameTooLarge) {
-				c.writeError(c.sc.errorPayload(0, CodeTooLarge, err.Error(), 0))
+				c.writeError(c.sc.errorPayload(0, failure{CodeTooLarge, err.Error(), 0}))
 			}
 			return
 		}
@@ -450,13 +431,13 @@ func (c *wireConn) run() {
 		if err != nil {
 			// Corrupt framing: past this point the stream offset is not
 			// trustworthy, so answer and drop the connection.
-			c.writeError(c.sc.errorPayload(0, CodeBadRequest, err.Error(), 0))
+			c.writeError(c.sc.errorPayload(0, failure{CodeBadRequest, err.Error(), 0}))
 			return
 		}
 		if rl := c.srv.limiter.Load(); rl != nil {
 			if ok, wait := rl.Allow(c.tenant); !ok {
 				c.srv.tel.count(wireOpIndex(op), false)
-				c.writeError(c.rateLimitedPayload(reqID, rl, wait))
+				c.writeError(c.sc.errorPayload(reqID, rl.rejection(c.tenant, wait)))
 				continue
 			}
 		}
@@ -465,24 +446,19 @@ func (c *wireConn) run() {
 			// Worker pool plus queue saturated: shed with the typed
 			// retryable error rather than queueing toward collapse.
 			c.srv.tel.count(wireOpQueryIdx, false)
-			c.writeError(c.sc.errorPayload(reqID, CodeUnavailable,
+			c.writeError(c.sc.errorPayload(reqID, failure{CodeUnavailable,
 				"server overloaded: in-flight query cap reached, retry shortly",
-				DefaultRetryAfterSeconds))
+				DefaultRetryAfterSeconds}))
 			continue
 		}
 		if isQuery && (c.br.Buffered() > 0 || c.inflight.Load() > 0) {
 			// The client is pipelining: hand the query to a worker so a
 			// slow journal flush on one request doesn't head-of-line block
-			// the rest, and responses return as they finish. The worker
-			// releases the admitted slot when the response is written.
+			// the rest, and responses return as they finish.
 			c.dispatch(reqID, body)
 			continue
 		}
-		err = c.handleOp(c.sc, op, reqID, body)
-		if isQuery {
-			c.srv.releaseQuery()
-		}
-		if err != nil {
+		if c.handleOp(c.sc, op, reqID, body) != nil {
 			return
 		}
 	}
@@ -513,23 +489,23 @@ func (c *wireConn) handshake() bool {
 	}
 	op, reqID, body, err := wire.ParseHeader(payload)
 	if err != nil || op != wire.OpHello {
-		c.writeError(c.sc.errorPayload(reqID, CodeBadRequest, "first frame must be hello", 0))
+		c.writeError(c.sc.errorPayload(reqID, failure{CodeBadRequest, "first frame must be hello", 0}))
 		return false
 	}
 	var h wire.Hello
 	if err := wire.DecodeHelloBody(body, &h); err != nil {
 		c.srv.tel.count(wireOpHelloIdx, false)
-		c.writeError(c.sc.errorPayload(reqID, CodeBadRequest, "bad hello body: "+err.Error(), 0))
+		c.writeError(c.sc.errorPayload(reqID, failure{CodeBadRequest, "bad hello body: " + err.Error(), 0}))
 		return false
 	}
 	if h.Version != wire.Version {
 		c.srv.tel.count(wireOpHelloIdx, false)
-		c.writeError(c.sc.errorPayload(reqID, CodeBadRequest,
-			fmt.Sprintf("unsupported protocol version %d (want %d)", h.Version, wire.Version), 0))
+		c.writeError(c.sc.errorPayload(reqID, failure{CodeBadRequest,
+			fmt.Sprintf("unsupported protocol version %d (want %d)", h.Version, wire.Version), 0}))
 		return false
 	}
 	c.tenant = h.Tenant
-	c.tpID, _, c.hasTP = trace.ParseTraceparent(h.Traceparent)
+	c.tpID, _, _ = trace.ParseTraceparent(h.Traceparent)
 	ok := wire.HelloOK{
 		Version:  wire.Version,
 		MaxFrame: uint64(c.srv.cfg.MaxFrameBytes),
@@ -546,9 +522,9 @@ func (c *wireConn) handshake() bool {
 // the configured cap.
 func (c *wireConn) dispatch(reqID uint64, body []byte) {
 	if c.jobs == nil {
-		c.jobs = make(chan wireJob, 2*c.srv.cfg.Workers)
+		c.jobs = make(chan wireJob, 2*wireWorkers)
 	}
-	if c.workers < c.srv.cfg.Workers {
+	if c.workers < wireWorkers {
 		c.workers++
 		c.wwg.Add(1)
 		go c.worker()
@@ -563,8 +539,6 @@ func (c *wireConn) worker() {
 	defer sc.release()
 	for job := range c.jobs {
 		c.handleQuery(sc, job.reqID, job.body, true)
-		// Every dispatched job passed admitQuery on the reader goroutine.
-		c.srv.releaseQuery()
 	}
 }
 
@@ -584,11 +558,11 @@ func (c *wireConn) handleOp(sc *wireScratch, op byte, reqID uint64, body []byte)
 		return c.handleMechanisms(sc, reqID)
 	case wire.OpHello:
 		c.srv.tel.count(wireOpHelloIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, CodeBadRequest, "duplicate hello", 0))
+		return c.writeFrame(sc.errorPayload(reqID, failure{CodeBadRequest, "duplicate hello", 0}))
 	default:
 		c.srv.tel.count(wireOpOtherIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, CodeBadRequest,
-			fmt.Sprintf("unknown op %#x", op), 0))
+		return c.writeFrame(sc.errorPayload(reqID, failure{CodeBadRequest,
+			fmt.Sprintf("unknown op %#x", op), 0}))
 	}
 }
 
@@ -611,14 +585,17 @@ func wireOpIndex(op byte) int {
 	}
 }
 
-// handleQuery runs one query request end to end: build the response
-// payload (hot, pooled), write it with pipelining-aware flushing, then
-// account for it.
+// handleQuery runs one admitted query request end to end: build the
+// response payload (hot, pooled), free the in-flight slot, write the
+// payload with pipelining-aware flushing, then account for it.
 //
 //svt:hotpath
 func (c *wireConn) handleQuery(sc *wireScratch, reqID uint64, body []byte, pipelined bool) error {
 	start, sampled := c.srv.tel.sampleStart()
 	out := c.queryResponse(sc, reqID, body)
+	// Free the slot before the write: a client that sends its next query
+	// as soon as it reads this reply must not be shed because of it.
+	c.srv.releaseQuery()
 	var err error
 	if pipelined {
 		err = c.finishJob(out)
@@ -628,69 +605,29 @@ func (c *wireConn) handleQuery(sc *wireScratch, reqID uint64, body []byte, pipel
 	if t := c.srv.tel; t != nil {
 		t.count(wireOpQueryIdx, out[0] == wire.OpQueryOK)
 		if sampled {
-			t.latency.ObserveNExemplar(telemetry.Seconds(telemetry.Now()-start), querySamplePeriod, sc.exemplar)
+			t.latency.ObserveNExemplar(telemetry.Seconds(telemetry.Now()-start), querySamplePeriod, sc.call.root.TraceIDString())
 		}
 	}
-	sc.exemplar = ""
+	sc.call.reset()
 	return err
 }
 
-// queryResponse decodes, answers and encodes one query, returning the
-// complete response payload (success or typed error) backed by sc.out.
-// It is the wire twin of the HTTP handleQuery hot path: same correlation
-// minting, same trace-tree shape, same error code mapping, and the same
-// journal-before-response ordering (the manager journals before
-// returning; the frame is encoded after).
+// queryResponse is the wire edge of the query pipeline: decode, the
+// pipeline, encode. It returns the complete response payload (success or
+// typed error) backed by sc.out. The correlation ID travels in the body,
+// so the pipeline begins after the decode.
 //
 //svt:hotpath
 func (c *wireConn) queryResponse(sc *wireScratch, reqID uint64, body []byte) []byte {
-	srv := c.srv
-	// Bound the decode timestamps only when tracing is configured: the
-	// untraced server never reads the clock here.
-	var d0 int64
-	if srv.tracer != nil {
-		d0 = telemetry.Now()
-	}
 	if err := wire.DecodeQueryBody(body, &sc.req); err != nil {
-		return sc.errorPayload(reqID, CodeBadRequest, "bad query body: "+err.Error(), 0)
+		return sc.errorPayload(reqID, failure{CodeBadRequest, "bad query body: " + err.Error(), 0})
 	}
-	// Correlation parity with X-Request-Id: echo the client's ID or mint
-	// one, and carry it on the response, so any wire answer can be quoted
-	// against /v1/traces/{id} and the logs.
-	corr := sc.req.Corr
-	hasCorr := len(corr) > 0
-	var reqIDStr string
-	if !hasCorr {
-		reqIDStr = newRequestID()
-		corr = append(sc.corr[:0], reqIDStr...)
-		sc.corr = corr[:0]
-	}
-	var root *trace.Span
-	if srv.tracer.Sample(hasCorr || c.hasTP) {
-		if reqIDStr == "" {
-			reqIDStr = string(sc.req.Corr)
-		}
-		var tid trace.TraceID
-		if c.hasTP {
-			tid = c.tpID
-		}
-		root = srv.tracer.StartRoot("wire", wireQueryRoute, reqIDStr, tid)
-		root.AttachChild("decode", d0, telemetry.Now())
-		sc.exemplar = root.TraceIDString()
-		defer root.End()
-	}
-	n := len(sc.req.Items)
-	switch {
-	case n == 0:
-		return sc.errorPayload(reqID, CodeBadRequest, "empty query batch", 0)
-	case n > srv.cfg.MaxBatch:
-		return c.batchTooLargePayload(sc, reqID, n)
-	}
-	sid := c.internSession(sc.req.Session)
-	root.SetAttr("session", sid)
-	root.SetAttrInt("batch", int64(n))
+	q := &sc.call
+	c.srv.queries.begin(q, string(sc.req.Corr), c.tpID)
+	defer q.root.End()
 	// Convert to the manager's item shape. Thresholds live in a parallel
 	// arena; pointers are taken only after both slices stop growing.
+	n := len(sc.req.Items)
 	items := sc.items[:0]
 	if cap(items) < n {
 		items = make([]QueryItem, 0, n)
@@ -710,29 +647,11 @@ func (c *wireConn) queryResponse(sc *wireScratch, reqID uint64, body []byte) []b
 		}
 	}
 	sc.items, sc.thresholds = items, thresholds
-	var res BatchResult
-	var err error
-	if root != nil {
-		sc.trace = QueryTrace{TraceID: reqIDStr, Span: root}
-		res, err = srv.mgr.QueryTraced(sid, items, sc.results[:0], &sc.trace)
-		sc.trace = QueryTrace{}
-	} else {
-		res, err = srv.mgr.QueryInto(sid, items, sc.results[:0])
+	res, f := c.srv.queries.run(q, string(sc.req.Session), items)
+	if f.code != "" {
+		return sc.errorPayload(reqID, f)
 	}
-	if cap(res.Results) > cap(sc.results) {
-		sc.results = res.Results[:0]
-	}
-	switch {
-	case errors.Is(err, ErrSessionNotFound):
-		return sc.errorPayload(reqID, CodeNotFound, "no such session: "+sid, 0)
-	case errors.Is(err, ErrUnavailable):
-		return sc.errorPayload(reqID, CodeUnavailable, err.Error(), DefaultRetryAfterSeconds)
-	case errors.Is(err, ErrStoreAppend):
-		return sc.errorPayload(reqID, CodeStoreFailure, err.Error(), DefaultRetryAfterSeconds)
-	case err != nil:
-		return sc.errorPayload(reqID, CodeBadRequest, err.Error(), 0)
-	}
-	es := root.StartChild("encode")
+	es := q.root.StartChild("encode")
 	wres := sc.wres[:0]
 	if cap(wres) < len(res.Results) {
 		wres = make([]wire.Result, 0, len(res.Results))
@@ -748,27 +667,12 @@ func (c *wireConn) queryResponse(sc *wireScratch, reqID uint64, body []byte) []b
 		})
 	}
 	sc.wres = wres
+	sc.corr = append(sc.corr[:0], q.corr...)
 	out := wire.AppendHeader(sc.out[:0], wire.OpQueryOK, reqID)
-	out = wire.AppendQueryOKBody(out, corr, res.Halted, res.Remaining, wres)
+	out = wire.AppendQueryOKBody(out, sc.corr, res.Halted, res.Remaining, wres)
 	sc.out = out[:0]
 	es.End()
 	return out
-}
-
-// internSession returns the session ID as a string, reusing the
-// connection's interned copy when the session was seen before (the map
-// lookup on a []byte key does not allocate).
-//
-//svt:hotpath
-func (c *wireConn) internSession(id []byte) string {
-	if s, ok := c.sessions[string(id)]; ok {
-		return s
-	}
-	s := string(id)
-	if len(c.sessions) < internedSessionsCap {
-		c.sessions[s] = s
-	}
-	return s
 }
 
 // writeFrame writes one response frame from the reader goroutine (inline
@@ -808,78 +712,47 @@ func (c *wireConn) writeError(payload []byte) {
 	}
 }
 
-// errorPayload builds an OpError payload into sc.out.
-func (sc *wireScratch) errorPayload(reqID uint64, code, msg string, retrySecs uint64) []byte {
+// errorPayload builds an OpError payload for f into sc.out.
+func (sc *wireScratch) errorPayload(reqID uint64, f failure) []byte {
 	out := wire.AppendHeader(sc.out[:0], wire.OpError, reqID)
-	ef := wire.ErrorFrame{Code: code, Message: msg, RetryAfterSeconds: retrySecs}
+	ef := wire.ErrorFrame{Code: f.code, Message: f.msg, RetryAfterSeconds: f.retryAfter}
 	out = wire.AppendErrorBody(out, &ef)
 	sc.out = out[:0]
 	return out
 }
 
-// batchTooLargePayload mirrors the HTTP 413 message. Off the hot path on
-// purpose: a request tripping the cap may pay for fmt.
-func (c *wireConn) batchTooLargePayload(sc *wireScratch, reqID uint64, n int) []byte {
-	return sc.errorPayload(reqID, CodeTooLarge,
-		fmt.Sprintf("batch of %d exceeds the cap of %d", n, c.srv.cfg.MaxBatch), 0)
-}
-
-// rateLimitedPayload mirrors the HTTP 429: same code, same message, same
-// ceil-seconds (min 1) retry hint.
-func (c *wireConn) rateLimitedPayload(reqID uint64, rl *RateLimiter, wait time.Duration) []byte {
-	secs := uint64(math.Ceil(wait.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	label := c.tenant
-	if label == "" {
-		label = "default"
-	}
-	return c.sc.errorPayload(reqID, CodeRateLimited,
-		fmt.Sprintf("tenant %q exceeded %g requests/sec", label, rl.rate), secs)
-}
-
 // jsonPayload builds a response payload whose body is v's JSON encoding —
-// the cold control ops carry the HTTP API's body types verbatim.
-func (sc *wireScratch) jsonPayload(op byte, reqID uint64, v any) ([]byte, error) {
+// the cold control ops carry the HTTP API's body types verbatim. A failed
+// encode becomes a store_failure error frame.
+func (sc *wireScratch) jsonPayload(op byte, reqID uint64, v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
-		return nil, err
+		return sc.errorPayload(reqID, failure{CodeStoreFailure, "response encode failed: " + err.Error(), 0})
 	}
 	out := wire.AppendHeader(sc.out[:0], op, reqID)
 	out = append(out, b...)
 	sc.out = out[:0]
-	return out, nil
+	return out
 }
 
 func (c *wireConn) handleCreate(sc *wireScratch, reqID uint64, body []byte) error {
 	var params CreateParams
 	if err := json.Unmarshal(body, &params); err != nil {
 		c.srv.tel.count(wireOpCreateIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, CodeBadRequest, "bad request body: "+err.Error(), 0))
+		return c.writeFrame(sc.errorPayload(reqID, failure{CodeBadRequest, "bad request body: " + err.Error(), 0}))
 	}
 	// The tenant comes from the hello handshake, never the body — the
 	// same rule as the HTTP header.
 	params.Tenant = c.tenant
 	s, err := c.srv.mgr.Create(params)
 	var out []byte
-	switch {
-	case errors.Is(err, ErrTooManySessions):
-		out = sc.errorPayload(reqID, CodeTooManySessions, err.Error(), 0)
-	case errors.Is(err, ErrUnavailable):
-		out = sc.errorPayload(reqID, CodeUnavailable, err.Error(), DefaultRetryAfterSeconds)
-	case errors.Is(err, ErrStoreAppend):
-		out = sc.errorPayload(reqID, CodeStoreFailure, err.Error(), DefaultRetryAfterSeconds)
-	case err != nil:
-		out = sc.errorPayload(reqID, CodeBadRequest, err.Error(), 0)
-	default:
-		out, err = sc.jsonPayload(wire.OpCreateOK, reqID, CreateResponse{
+	if err != nil {
+		out = sc.errorPayload(reqID, classify(err, ""))
+	} else {
+		out = sc.jsonPayload(wire.OpCreateOK, reqID, CreateResponse{
 			SessionStatus: s.Status(),
 			TTLSeconds:    s.ttl.Seconds(),
 		})
-		if err != nil {
-			out = sc.errorPayload(reqID, CodeStoreFailure, "response encode failed: "+err.Error(), 0)
-		}
 	}
 	c.srv.tel.count(wireOpCreateIdx, out[0] != wire.OpError)
 	return c.writeFrame(out)
@@ -889,18 +762,14 @@ func (c *wireConn) handleStatus(sc *wireScratch, reqID uint64, body []byte) erro
 	id, err := wire.DecodeIDBody(body)
 	if err != nil {
 		c.srv.tel.count(wireOpStatusIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, CodeBadRequest, err.Error(), 0))
+		return c.writeFrame(sc.errorPayload(reqID, failure{CodeBadRequest, err.Error(), 0}))
 	}
-	sid := c.internSession(id)
-	s, ok := c.srv.mgr.Get(sid)
+	s, ok := c.srv.mgr.Get(string(id))
 	if !ok {
 		c.srv.tel.count(wireOpStatusIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, CodeNotFound, "no such session: "+sid, 0))
+		return c.writeFrame(sc.errorPayload(reqID, noSuchSession(string(id))))
 	}
-	out, err := sc.jsonPayload(wire.OpStatusOK, reqID, s.Status())
-	if err != nil {
-		out = sc.errorPayload(reqID, CodeStoreFailure, "response encode failed: "+err.Error(), 0)
-	}
+	out := sc.jsonPayload(wire.OpStatusOK, reqID, s.Status())
 	c.srv.tel.count(wireOpStatusIdx, out[0] != wire.OpError)
 	return c.writeFrame(out)
 }
@@ -909,12 +778,11 @@ func (c *wireConn) handleDelete(sc *wireScratch, reqID uint64, body []byte) erro
 	id, err := wire.DecodeIDBody(body)
 	if err != nil {
 		c.srv.tel.count(wireOpDeleteIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, CodeBadRequest, err.Error(), 0))
+		return c.writeFrame(sc.errorPayload(reqID, failure{CodeBadRequest, err.Error(), 0}))
 	}
-	sid := c.internSession(id)
-	if !c.srv.mgr.Delete(sid) {
+	if !c.srv.mgr.Delete(string(id)) {
 		c.srv.tel.count(wireOpDeleteIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, CodeNotFound, "no such session: "+sid, 0))
+		return c.writeFrame(sc.errorPayload(reqID, noSuchSession(string(id))))
 	}
 	out := wire.AppendHeader(sc.out[:0], wire.OpDeleteOK, reqID)
 	sc.out = out[:0]
@@ -923,11 +791,8 @@ func (c *wireConn) handleDelete(sc *wireScratch, reqID uint64, body []byte) erro
 }
 
 func (c *wireConn) handleMechanisms(sc *wireScratch, reqID uint64) error {
-	out, err := sc.jsonPayload(wire.OpMechanismsOK, reqID,
+	out := sc.jsonPayload(wire.OpMechanismsOK, reqID,
 		MechanismsResponse{Mechanisms: c.srv.mgr.Mechanisms()})
-	if err != nil {
-		out = sc.errorPayload(reqID, CodeStoreFailure, "response encode failed: "+err.Error(), 0)
-	}
 	c.srv.tel.count(wireOpMechanismsIdx, out[0] != wire.OpError)
 	return c.writeFrame(out)
 }

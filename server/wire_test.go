@@ -1,17 +1,16 @@
 package server
 
 // End-to-end tests for the binary wire edge: full parity with the HTTP
-// API (journal-before-response, rate limiting, telemetry counters, trace
-// tree shape, request-ID correlation), pipelined out-of-order responses,
-// graceful drain on shutdown, and torn-connection robustness.
+// API (journal-before-response, rate limiting, telemetry counters,
+// request-ID correlation; the trace tree shape is checked over both edges
+// in trace_test.go), pipelined out-of-order responses, graceful drain on
+// shutdown, and torn-connection robustness.
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -307,14 +306,21 @@ func TestWireRateLimitedParity(t *testing.T) {
 	}
 }
 
-// TestWirePipelinedOutOfOrder floods one connection with concurrent query
-// frames before reading anything; every response must come back exactly
-// once, matched by request ID, with its own correlation echoed.
+// TestWirePipelinedOutOfOrder floods one cold connection with concurrent
+// query frames across several sessions before reading anything; every
+// response must come back exactly once, matched by request ID, with its
+// own correlation echoed. The pipeline workers serve the frames in
+// parallel, so under -race this also checks that they share no
+// per-connection state.
 func TestWirePipelinedOutOfOrder(t *testing.T) {
 	m := newTestManager(t, ManagerConfig{})
 	ws := NewWireServer(m, WireConfig{})
 	addr := startWireServer(t, ws)
-	s := mustCreate(t, m, sparseParams())
+	const sessions = 8
+	ids := make([]string, sessions)
+	for i := range ids {
+		ids[i] = mustCreate(t, m, sparseParams()).ID()
+	}
 	tc := dialWire(t, addr, "", "")
 
 	const n = 64
@@ -326,7 +332,7 @@ func TestWirePipelinedOutOfOrder(t *testing.T) {
 		tc.next++
 		corr := "corr-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
 		sent[tc.next] = corr
-		payload := wire.AppendQueryBody(wire.AppendHeader(nil, wire.OpQuery, tc.next), s.ID(), corr, sureNegativeWire())
+		payload := wire.AppendQueryBody(wire.AppendHeader(nil, wire.OpQuery, tc.next), ids[i%sessions], corr, sureNegativeWire())
 		batch = wire.AppendFrame(batch, payload)
 	}
 	if _, err := tc.c.Write(batch); err != nil {
@@ -353,8 +359,10 @@ func TestWirePipelinedOutOfOrder(t *testing.T) {
 	if len(sent) != 0 {
 		t.Fatalf("%d requests never answered", len(sent))
 	}
-	if got := mustStatus(t, m, s.ID()).Answered; got != n {
-		t.Fatalf("answered %d, want %d", got, n)
+	for _, id := range ids {
+		if got := mustStatus(t, m, id).Answered; got != n/sessions {
+			t.Fatalf("session %s answered %d, want %d", id, got, n/sessions)
+		}
 	}
 }
 
@@ -587,98 +595,6 @@ func TestWireTelemetryCounters(t *testing.T) {
 	}
 }
 
-// shapeOf renders a span tree as a nested name list, the structural
-// fingerprint the two edges must share.
-func shapeOf(n trace.Node) string {
-	var b strings.Builder
-	b.WriteString(n.Name)
-	if len(n.Children) > 0 {
-		b.WriteString("(")
-		for i, c := range n.Children {
-			if i > 0 {
-				b.WriteString(" ")
-			}
-			b.WriteString(shapeOf(c))
-		}
-		b.WriteString(")")
-	}
-	return b.String()
-}
-
-// TestWireTraceParity: a traced wire query must retain a span tree
-// identical in shape to the HTTP edge's — decode, manager(answer,
-// journal.wait(store.sync)), encode — differing only in the root name and
-// route, and the minted correlation ID must resolve it through GET
-// /v1/traces/{id} exactly like an X-Request-Id.
-func TestWireTraceParity(t *testing.T) {
-	st, err := store.NewWAL(store.WALConfig{Dir: t.TempDir(), Sync: store.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	tracer := trace.New(trace.Config{SampleEvery: 1})
-	m, err := Open(ManagerConfig{
-		SweepInterval: time.Hour, SnapshotInterval: -1, Store: st, Tracer: tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	api := NewAPI(m, APIConfig{Tracer: tracer})
-	ws := NewWireServer(m, WireConfig{Tracer: tracer})
-	addr := startWireServer(t, ws)
-	s := mustCreate(t, m, sparseParams())
-
-	// One traced query per edge.
-	rec := postQuery(t, api, s.ID(), nil)
-	httpReqID := rec.Header().Get("X-Request-Id")
-	tc := dialWire(t, addr, "", "")
-	qr, ef := tc.query(s.ID(), "", sureNegativeWire())
-	if ef != nil {
-		t.Fatalf("wire query: %+v", ef)
-	}
-	wireReqID := string(qr.Corr)
-
-	hv, ok := tracer.Lookup(httpReqID)
-	if !ok {
-		t.Fatalf("no trace for HTTP request %s", httpReqID)
-	}
-	wv, ok := tracer.Lookup(wireReqID)
-	if !ok {
-		t.Fatalf("no trace for wire request %s", wireReqID)
-	}
-	if hv.Root.Name != "http" || wv.Root.Name != "wire" {
-		t.Fatalf("root names %q / %q, want http / wire", hv.Root.Name, wv.Root.Name)
-	}
-	if wv.Route != "wire:query" {
-		t.Fatalf("wire route %q", wv.Route)
-	}
-	hShape := strings.TrimPrefix(shapeOf(hv.Root), "http")
-	wShape := strings.TrimPrefix(shapeOf(wv.Root), "wire")
-	if hShape != wShape {
-		t.Fatalf("span tree shapes diverge:\n http %s\n wire %s", hShape, wShape)
-	}
-	for _, span := range []string{"decode", "manager(answer journal.wait(", "store.sync", "encode"} {
-		if !strings.Contains(wShape, span) {
-			t.Fatalf("wire tree misses %q in the golden chain: %s", span, wShape)
-		}
-	}
-
-	// The wire correlation ID resolves through the HTTP trace endpoints.
-	drec := httptest.NewRecorder()
-	api.ServeHTTP(drec, httptest.NewRequest(http.MethodGet, "/v1/traces/"+wireReqID, nil))
-	if drec.Code != http.StatusOK {
-		t.Fatalf("/v1/traces/{wire-corr} status %d: %s", drec.Code, drec.Body.String())
-	}
-	var v trace.View
-	if err := json.Unmarshal(drec.Body.Bytes(), &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.RequestID != wireReqID || v.Route != "wire:query" {
-		t.Fatalf("trace identity %+v", v)
-	}
-}
-
 // discardConn is a net.Conn whose writes vanish, for measuring the wire
 // handler's cost without kernel I/O — the binary twin of
 // nullResponseWriter.
@@ -712,7 +628,7 @@ func wireQueryAllocs(t *testing.T, m *SessionManager, cfg WireConfig) float64 {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the pools and the session intern map
+	run() // warm the pools
 	return testing.AllocsPerRun(200, run)
 }
 

@@ -349,7 +349,9 @@ func testWALGroupCommitUnderRotation(t *testing.T, cfg WALConfig) {
 	const goroutines, per = 4, 100
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	rotatorDone := make(chan struct{})
 	go func() {
+		defer close(rotatorDone)
 		for {
 			select {
 			case <-stop:
@@ -392,6 +394,10 @@ func testWALGroupCommitUnderRotation(t *testing.T, cfg WALConfig) {
 	}
 	wg.Wait()
 	close(stop)
+	// Join the rotator before closing: a Commit still writing its baseline
+	// would otherwise race the reopen below, which deletes the half-written
+	// temporary file as an interrupted write.
+	<-rotatorDone
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -59,12 +59,12 @@
 //
 // # Tracing and profiling
 //
-// Request tracing rides alongside the metrics: the HTTP layer threads a
-// per-request trace ID (the client's X-Request-Id, echoed back, or a
-// generated one) through server.QueryTraced, and svtserve's
-// -slow-query-ms flag logs one structured line — trace ID, session,
-// mechanism, batch size, duration, WAL flush wait — for every /query
-// request at or over the threshold. Arming the tracer costs a few extra
+// Request tracing rides alongside the metrics: the server's query
+// pipeline threads a per-request trace ID (the client's X-Request-Id,
+// echoed back, or a generated one) through the session manager in a
+// server.QueryTrace, and svtserve's -slow-query-ms flag logs one
+// structured line — trace ID, session, mechanism, batch size, duration,
+// WAL flush wait — for every /query request at or over the threshold. Arming the tracer costs a few extra
 // clock reads per request and is off by default. For deeper digging,
 // svtserve's -pprof-addr serves net/http/pprof on a separate listener
 // so production profiling never mixes with analyst traffic.
