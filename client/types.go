@@ -91,9 +91,10 @@ type QueryResult struct {
 	Numeric bool `json:"numeric,omitempty"`
 	// Value is the released number when Numeric is set.
 	Value float64 `json:"value,omitempty"`
-	// FromSynthetic marks answers served from a synthetic dataset.
+	// FromSynthetic marks a free mediator answer (no budget spent).
 	FromSynthetic bool `json:"fromSynthetic,omitempty"`
-	// Exhausted marks answers refused because the session halted.
+	// Exhausted marks a mediator answer released after the update budget
+	// was spent: an unchecked synthetic estimate.
 	Exhausted bool `json:"exhausted,omitempty"`
 }
 

@@ -4,8 +4,8 @@
 //
 //	dsgen -profile Kosarak -scale 0.1 -seed 7 -o kosarak-small.dat
 //
-// The produced files feed cmd/svttop, cmd/pmwserve, or any standard
-// frequent-itemset-mining tool.
+// The produced files feed cmd/svttop or any standard frequent-itemset-mining
+// tool.
 package main
 
 import (

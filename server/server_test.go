@@ -2,12 +2,15 @@ package server
 
 import (
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/dpgo/svt/client"
 	"github.com/dpgo/svt/store"
 )
 
@@ -304,6 +307,59 @@ func TestPMWSession(t *testing.T) {
 	}
 	if _, err := m.Query(sv.ID(), []QueryItem{{Buckets: []int{0}}}); err == nil {
 		t.Error("bucket query accepted by sparse session")
+	}
+}
+
+// TestPMWExhaustionFlag spends a pmw session's update budget and checks
+// that both serving edges keep answering past it: unchecked synthetic
+// estimates, free and flagged exhausted, never refusals, and no further
+// positive charged.
+func TestPMWExhaustionFlag(t *testing.T) {
+	m := newTestManager(t, ManagerConfig{})
+	s, err := m.Create(pmwParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; !s.Status().Halted; i++ {
+		if i == 60 {
+			t.Fatalf("update budget never spent: %+v", s.Status())
+		}
+		if _, err := m.Query(s.ID(), []QueryItem{{Buckets: []int{i % 6}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(NewAPI(m, APIConfig{}))
+	defer srv.Close()
+	qurl := srv.URL + "/v1/sessions/" + s.ID() + "/query"
+	if code := doJSON(t, http.MethodPost, qurl, map[string]any{"buckets": []int{99}}, nil); code != http.StatusBadRequest {
+		t.Errorf("out-of-range bucket over HTTP: status %d, want 400", code)
+	}
+	var hres BatchResult
+	if code := doJSON(t, http.MethodPost, qurl, map[string]any{"buckets": []int{4}}, &hres); code != http.StatusOK {
+		t.Fatalf("HTTP query after exhaustion: status %d", code)
+	}
+	if r := hres.Results; len(r) != 1 || !r[0].Exhausted || !r[0].FromSynthetic || !r[0].Numeric || !hres.Halted || hres.Remaining != 0 {
+		t.Errorf("HTTP answer after exhaustion %+v", hres)
+	}
+	c, err := client.Dial(startWireServer(t, NewWireServer(m, WireConfig{})), client.Options{DialTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cres, err := c.Query(s.ID(), []client.QueryItem{{Buckets: []int{4}}, {Buckets: []int{0, 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cres.Results) != 2 || !cres.Halted || cres.Remaining != 0 {
+		t.Errorf("SDK batch after exhaustion %+v", cres)
+	}
+	for _, r := range cres.Results {
+		if !r.Exhausted || !r.FromSynthetic || !r.Numeric {
+			t.Errorf("SDK answer after exhaustion %+v", r)
+		}
+	}
+	if st, err := c.Status(s.ID()); err != nil || st.Positives != pmwParams().MaxPositives || st.Remaining != 0 || !st.Halted {
+		t.Errorf("status after exhausted answers %+v (%v), want %d positives and none remaining", st, err, pmwParams().MaxPositives)
 	}
 }
 

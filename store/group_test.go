@@ -19,12 +19,12 @@ import (
 // forEachWALMode runs fn in mmap mode (where supported) and in the
 // write()-path fallback, so both journaling implementations keep the same
 // guarantees.
-func forEachWALMode(t *testing.T, fn func(t *testing.T, cfg WALConfig)) {
+func forEachWALMode(t *testing.T, fn func(t *testing.T, mmap bool)) {
 	t.Run("mmap", func(t *testing.T) {
-		fn(t, WALConfig{})
+		fn(t, mmapSupported)
 	})
 	t.Run("write", func(t *testing.T) {
-		fn(t, WALConfig{DisableMmap: true})
+		fn(t, false)
 	})
 }
 
@@ -34,10 +34,9 @@ func TestWALAppendBatchRoundTrip(t *testing.T) {
 	forEachWALMode(t, testWALAppendBatchRoundTrip)
 }
 
-func testWALAppendBatchRoundTrip(t *testing.T, cfg WALConfig) {
+func testWALAppendBatchRoundTrip(t *testing.T, mmap bool) {
 	dir := t.TempDir()
-	cfg.Dir, cfg.Sync = dir, SyncNone
-	w, err := NewWAL(cfg)
+	w, err := newWAL(WALConfig{Dir: dir, Sync: SyncNone}, mmap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +86,9 @@ func TestWALAppendBatchAtomicOnTornTail(t *testing.T) {
 	forEachWALMode(t, testWALAppendBatchAtomicOnTornTail)
 }
 
-func testWALAppendBatchAtomicOnTornTail(t *testing.T, cfg WALConfig) {
+func testWALAppendBatchAtomicOnTornTail(t *testing.T, mmap bool) {
 	dir := t.TempDir()
-	cfg.Dir, cfg.Sync = dir, SyncNone
-	w, err := NewWAL(cfg)
+	w, err := newWAL(WALConfig{Dir: dir, Sync: SyncNone}, mmap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +150,9 @@ func TestWALGroupCommitDurableBeforeReturn(t *testing.T) {
 	forEachWALMode(t, testWALGroupCommitDurableBeforeReturn)
 }
 
-func testWALGroupCommitDurableBeforeReturn(t *testing.T, cfg WALConfig) {
+func testWALGroupCommitDurableBeforeReturn(t *testing.T, mmap bool) {
 	dir := t.TempDir()
-	cfg.Dir, cfg.Sync = dir, SyncInterval
-	w, err := NewWAL(cfg)
+	w, err := newWAL(WALConfig{Dir: dir, Sync: SyncInterval}, mmap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +208,9 @@ func TestWALGroupCommitOrdering(t *testing.T) {
 	forEachWALMode(t, testWALGroupCommitOrdering)
 }
 
-func testWALGroupCommitOrdering(t *testing.T, cfg WALConfig) {
+func testWALGroupCommitOrdering(t *testing.T, mmap bool) {
 	dir := t.TempDir()
-	cfg.Dir, cfg.Sync = dir, SyncNone
-	w, err := NewWAL(cfg)
+	w, err := newWAL(WALConfig{Dir: dir, Sync: SyncNone}, mmap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +262,7 @@ func testWALGroupCommitOrdering(t *testing.T, cfg WALConfig) {
 // to share at all (see TestWALMmapSyncAlwaysCoalesces).
 func TestWALGroupCommitCoalesces(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewWAL(WALConfig{Dir: dir, Sync: SyncInterval, CommitWindow: 2 * time.Millisecond, DisableMmap: true})
+	w, err := newWAL(WALConfig{Dir: dir, Sync: SyncInterval, CommitWindow: 2 * time.Millisecond}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,10 +335,9 @@ func TestWALGroupCommitUnderRotation(t *testing.T) {
 	forEachWALMode(t, testWALGroupCommitUnderRotation)
 }
 
-func testWALGroupCommitUnderRotation(t *testing.T, cfg WALConfig) {
+func testWALGroupCommitUnderRotation(t *testing.T, mmap bool) {
 	dir := t.TempDir()
-	cfg.Dir, cfg.Sync = dir, SyncNone
-	w, err := NewWAL(cfg)
+	w, err := newWAL(WALConfig{Dir: dir, Sync: SyncNone}, mmap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,13 @@ package store
 // but the hot path costs ~100ns instead of a syscall. msync replaces
 // fsync; fallocate backs every mapped byte with real blocks so a full disk
 // surfaces as a clean grow-time error instead of a SIGBUS mid-copy.
+//
+// This path is kept beside write() (every other platform's path, and the
+// fallback when a segment cannot be mapped) because it wins end to end:
+// svtperf on a 2-vCPU VM, 6 alternating 10 s pairs per workload, put
+// interactive-wire at 151k q/s and p99 3.2 ms here against 113k and 4.5 ms
+// through write() (every pair); p50 rose 9-11% without it on batch-http
+// and churn-durable. write() held about 2.5 MiB less RSS.
 
 import (
 	"fmt"

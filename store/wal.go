@@ -75,12 +75,6 @@ type WALConfig struct {
 	// latency grows by up to the window, so keep it at or below the disk's
 	// sync latency; it buys nothing under SyncNone.
 	CommitWindow time.Duration
-	// DisableMmap forces write()-based journaling even where the mmap fast
-	// path is supported. The durability guarantees are identical; the mmap
-	// path is simply faster (a memcpy hands bytes to the kernel instead of
-	// a syscall). Mainly for debugging and for exercising the portable
-	// fallback in tests.
-	DisableMmap bool
 }
 
 // DefaultSyncInterval is the background fsync cadence when WALConfig leaves
@@ -149,7 +143,7 @@ type WAL struct {
 	idle        *sync.Cond // signaled when flushing drops to false
 	f           *os.File   // active journal segment
 	m           mmapRegion // active segment's mapping; inactive in write() mode
-	noMmap      bool       // config or runtime fallback: journal via write()
+	noMmap      bool       // platform, test or runtime fallback: journal via write()
 	gen         uint64     // active journal segment generation
 	snapGen     uint64     // latest published snapshot generation; 0 = none
 	segments    int        // live journal segments (gen chain since snapGen)
@@ -226,6 +220,13 @@ type walBatch struct {
 // new appends start from a clean record boundary, and removes stale
 // generations and temp files.
 func NewWAL(cfg WALConfig) (*WAL, error) {
+	return newWAL(cfg, mmapSupported)
+}
+
+// newWAL is NewWAL with the journaling path chosen by the caller: mmap
+// false selects write(), the path every non-Linux build runs, so tests
+// cover it on Linux too.
+func newWAL(cfg WALConfig, mmap bool) (*WAL, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("store: WAL requires a directory")
 	}
@@ -235,7 +236,7 @@ func NewWAL(cfg WALConfig) (*WAL, error) {
 	if cfg.CommitWindow < 0 {
 		return nil, fmt.Errorf("store: negative commit window %v", cfg.CommitWindow)
 	}
-	w := &WAL{dir: cfg.Dir, sync: cfg.Sync, window: cfg.CommitWindow, noMmap: cfg.DisableMmap || !mmapSupported}
+	w := &WAL{dir: cfg.Dir, sync: cfg.Sync, window: cfg.CommitWindow, noMmap: !mmap}
 	w.idle = sync.NewCond(&w.mu)
 	openStart := time.Now()
 	if err := w.open(); err != nil {

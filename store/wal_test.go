@@ -513,6 +513,99 @@ func TestWALTornMiddleSegmentRefusesToOpen(t *testing.T) {
 	}
 }
 
+// TestWALZeroPaddedSegmentRecovers: an all-zero tail is the mmap chunk
+// padding a crash leaves before a segment is trimmed, not a torn record,
+// so it is benign in ANY segment of the chain (contrast
+// TestWALTornMiddleSegmentRefusesToOpen): the valid prefix replays, the
+// padding is trimmed, and no tail is reported as dropped.
+func TestWALZeroPaddedSegmentRecovers(t *testing.T) {
+	padWithZeros := func(t *testing.T, path string) int64 {
+		t.Helper()
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(make([]byte, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	t.Run("final", func(t *testing.T) {
+		dir := t.TempDir()
+		w := openWAL(t, dir)
+		want := []Event{ev(1, "a", "first"), ev(2, "a", "second")}
+		for _, e := range want {
+			if err := w.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := walPath(t, w)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		valid := padWithZeros(t, path)
+
+		w2 := openWAL(t, dir)
+		defer w2.Close()
+		got, err := w2.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !eventsEqual(got, want) {
+			t.Fatalf("recovered %+v, want %+v", got, want)
+		}
+		// Health, not the file size: an mmap reopen maps the segment again
+		// and grows it back to a whole chunk.
+		if h := w2.Health(); h.TruncatedTail || h.DroppedBytes != 0 || h.JournalBytes != uint64(valid) {
+			t.Fatalf("health %+v, want no truncated tail, no dropped bytes and %d journal bytes", h, valid)
+		}
+	})
+	t.Run("sealed", func(t *testing.T) {
+		dir := t.TempDir()
+		w := openWAL(t, dir)
+		sealedEv := ev(1, "a", "sealed-segment")
+		if err := w.Append(sealedEv); err != nil {
+			t.Fatal(err)
+		}
+		sealed := walPath(t, w)
+		if _, err := w.Rotate(); err != nil { // snap-2 never committed
+			t.Fatal(err)
+		}
+		newer := ev(2, "a", "newer-segment")
+		if err := w.Append(newer); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		valid := padWithZeros(t, sealed)
+
+		w2 := openWAL(t, dir)
+		defer w2.Close()
+		got, err := w2.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []Event{sealedEv, newer}; !eventsEqual(got, want) {
+			t.Fatalf("recovered %+v, want %+v", got, want)
+		}
+		info, err := os.Stat(sealed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() != valid {
+			t.Fatalf("sealed segment is %d bytes after open, want its valid %d", info.Size(), valid)
+		}
+	})
+}
+
 func TestWALRotateAbortAndOverlap(t *testing.T) {
 	dir := t.TempDir()
 	w := openWAL(t, dir)
