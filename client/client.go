@@ -3,7 +3,9 @@
 // concurrent calls pipeline their requests on it and responses are
 // matched back by request ID, so a pool of goroutines sharing a Client
 // keeps the connection's pipeline full without any per-call locking
-// beyond the write mutex.
+// beyond the write mutex. Concurrent calls also share one write per
+// burst: the first caller to buffer a frame yields once so the callers
+// behind it can buffer theirs, then flushes them all in one Write.
 //
 // The SDK is registry-driven: it fetches GET /v1/mechanisms' capability
 // flags over the wire (OpMechanisms) and validates CreateParams against
@@ -27,23 +29,31 @@
 // are provably safe to retry — those that failed with a typed retryable
 // server error ("unavailable", and "rate_limited" when opted in, both
 // honoring the server's RetryAfter hint) and those whose request
-// provably never reached the server (the connection died before the
-// frame was flushed). A budget-mutating call (Create, Query, Delete)
-// whose frame WAS delivered but whose response never came back is
-// genuinely ambiguous — the server may have answered and spent budget —
-// so it fails with ErrAmbiguous instead of retrying; re-issuing such a
-// query blindly could spend privacy budget twice. Read-only calls
-// (Status, Mechanisms) are idempotent and retry through every failure
-// mode. Tune or disable all of this with Options.Retry.
+// provably never reached the server. Because one Write may carry many
+// callers' frames, that proof is a byte offset: each call notes where
+// its frame ends in the connection's byte stream, and the frame never
+// reached the server iff, once the connection died, the kernel had
+// accepted fewer bytes than that. A budget-mutating call (Create,
+// Query, Delete) whose frame WAS delivered but whose response never
+// came back is genuinely ambiguous — the server may have answered and
+// spent budget — so it fails with ErrAmbiguous instead of retrying;
+// re-issuing such a query blindly could spend privacy budget twice.
+// Read-only calls (Status, Mechanisms) are idempotent and retry through
+// every failure mode. Tune or disable all of this with Options.Retry.
 package client
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"math/rand/v2"
 	"net"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -199,7 +209,7 @@ type Client struct {
 	ambiguous    atomic.Uint64
 
 	mechMu sync.Mutex
-	mechs  map[string]MechanismInfo
+	mechs  []MechanismInfo // in the server's order
 }
 
 // clientConn is one connection epoch: socket, buffers, pending map and
@@ -209,8 +219,12 @@ type clientConn struct {
 	conn net.Conn
 	br   *bufio.Reader
 
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	// wmu guards the write side: bw, the byte count under it and
+	// flushing, which is set while a caller leads a pending flush.
+	wmu      sync.Mutex
+	bw       *bufio.Writer
+	out      countingWriter
+	flushing bool
 
 	hello wire.HelloOK
 
@@ -223,6 +237,26 @@ type clientConn struct {
 type roundTripResult struct {
 	op   byte
 	body []byte
+}
+
+// countingWriter counts the bytes the socket accepted: the stream offset
+// the kernel has reached.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.n += int64(n)
+	return n, err
+}
+
+// frameLen is payload's size on the wire: its uvarint length prefix
+// (wire.WriteFrame) plus the payload.
+func frameLen(payload []byte) int64 {
+	var hdr [binary.MaxVarintLen64]byte
+	return int64(binary.PutUvarint(hdr[:], uint64(len(payload))) + len(payload))
 }
 
 // Dial connects, performs the hello handshake and starts the response
@@ -271,10 +305,11 @@ func (c *Client) dialConn() (*clientConn, error) {
 	cc := &clientConn{
 		conn:    conn,
 		br:      bufio.NewReaderSize(conn, 16<<10),
-		bw:      bufio.NewWriterSize(conn, 16<<10),
+		out:     countingWriter{w: conn},
 		pending: make(map[uint64]chan roundTripResult),
 		done:    make(chan struct{}),
 	}
+	cc.bw = bufio.NewWriterSize(&cc.out, 16<<10)
 	if c.opts.DialTimeout > 0 {
 		conn.SetDeadline(time.Now().Add(c.opts.DialTimeout))
 	}
@@ -387,13 +422,13 @@ func (cc *clientConn) readLoop(maxFrame int) {
 	for {
 		payload, err := wire.ReadFrame(cc.br, buf, maxFrame)
 		if err != nil {
-			cc.fail(err)
+			cc.close(err)
 			return
 		}
 		buf = payload
 		op, id, body, err := wire.ParseHeader(payload)
 		if err != nil {
-			cc.fail(err)
+			cc.close(err)
 			return
 		}
 		cc.mu.Lock()
@@ -408,21 +443,18 @@ func (cc *clientConn) readLoop(maxFrame int) {
 	}
 }
 
-// fail records the epoch's first fatal error and wakes every waiter.
-func (cc *clientConn) fail(err error) {
+// close ends the epoch: it records the first fatal error, wakes every
+// waiter, then closes the socket, so the server sees the hang-up and a
+// flush blocked on the socket returns. Recording first means waiters
+// observe the cause (ErrClosed after Client.Close) rather than the read
+// loop's "use of closed network connection".
+func (cc *clientConn) close(err error) error {
 	cc.mu.Lock()
 	if cc.err == nil {
 		cc.err = err
 		close(cc.done)
 	}
 	cc.mu.Unlock()
-}
-
-// close fails the epoch with err (typically ErrClosed) before closing
-// the socket, so waiters observe the typed error rather than the read
-// loop's "use of closed network connection".
-func (cc *clientConn) close(err error) error {
-	cc.fail(err)
 	return cc.conn.Close()
 }
 
@@ -463,10 +495,18 @@ func (c *Client) Stats() Stats {
 
 // roundTrip sends one request payload on this epoch and waits for its
 // response frame. sent reports whether the frame could have reached the
-// server: a false return proves the request never executed (the write
-// or flush failed, so the frame never fully entered the kernel — a
-// partial frame is dropped by the server's codec, never executed),
-// which makes retrying safe for any operation.
+// server; a false return proves the request never executed, which makes
+// retrying safe for any operation.
+//
+// The frame is buffered under wmu. The first caller to buffer one while
+// no flush is pending leads: it yields once, so runnable callers can
+// buffer behind it, then flushes them all in one Write, the way the
+// WAL's group commit gathers a batch. A failed Write therefore says
+// nothing about one caller's frame. Instead each call notes the stream
+// offset just past its frame, and when the epoch dies before the
+// response arrives, the frame counts as sent iff the kernel accepted the
+// stream up to that offset. A partial frame is dropped by the server's
+// codec, never executed.
 func (cc *clientConn) roundTrip(id uint64, payload []byte) (res roundTripResult, sent bool, err error) {
 	ch := make(chan roundTripResult, 1)
 	cc.mu.Lock()
@@ -478,20 +518,32 @@ func (cc *clientConn) roundTrip(id uint64, payload []byte) (res roundTripResult,
 	cc.pending[id] = ch
 	cc.mu.Unlock()
 
+	// No write starts on a dead epoch, so once it dies the accepted count
+	// only moves while a flush already under way finishes.
+	end := int64(math.MaxInt64) // past any count: not buffered, never sent
+	lead := false
 	cc.wmu.Lock()
-	werr := wire.WriteFrame(cc.bw, payload)
-	if werr == nil {
-		werr = cc.bw.Flush()
+	if !cc.dead() {
+		end = cc.out.n + int64(cc.bw.Buffered()) + frameLen(payload)
+		if werr := wire.WriteFrame(cc.bw, payload); werr != nil {
+			// A write failure poisons the shared buffered writer; kill
+			// the epoch so other pipelined calls fail over too.
+			cc.close(werr)
+		} else if !cc.flushing {
+			cc.flushing, lead = true, true
+		}
 	}
 	cc.wmu.Unlock()
-	if werr != nil {
-		cc.mu.Lock()
-		delete(cc.pending, id)
-		cc.mu.Unlock()
-		// A write failure poisons the shared buffered writer; kill the
-		// epoch so other pipelined calls fail over too.
-		cc.fail(werr)
-		return roundTripResult{}, false, werr
+	if lead {
+		runtime.Gosched()
+		cc.wmu.Lock()
+		cc.flushing = false
+		if !cc.dead() {
+			if werr := cc.bw.Flush(); werr != nil {
+				cc.close(werr)
+			}
+		}
+		cc.wmu.Unlock()
 	}
 
 	select {
@@ -505,12 +557,17 @@ func (cc *clientConn) roundTrip(id uint64, payload []byte) (res roundTripResult,
 			return res, true, nil
 		default:
 		}
-		cc.mu.Lock()
-		err := cc.err
-		delete(cc.pending, id)
-		cc.mu.Unlock()
-		return roundTripResult{}, true, err
 	}
+	cc.mu.Lock()
+	err = cc.err
+	delete(cc.pending, id)
+	cc.mu.Unlock()
+	// Taking wmu waits out any flush still in progress (close unblocks
+	// it), so the count read here is final.
+	cc.wmu.Lock()
+	sent = cc.out.n >= end
+	cc.wmu.Unlock()
+	return roundTripResult{}, sent, err
 }
 
 // opKind classifies calls for retry purposes.
@@ -664,20 +721,17 @@ func expect(res roundTripResult, op byte) ([]byte, error) {
 }
 
 // Mechanisms returns the server's mechanism registry with capability
-// flags, fetched once and cached for the life of the client.
+// flags, in the server's order (sorted by name), fetched once and cached
+// for the life of the client.
 func (c *Client) Mechanisms() ([]MechanismInfo, error) {
-	infos, err := c.mechanismTable()
+	mechs, err := c.mechanismTable()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]MechanismInfo, 0, len(infos))
-	for _, mi := range infos {
-		out = append(out, mi)
-	}
-	return out, nil
+	return slices.Clone(mechs), nil
 }
 
-func (c *Client) mechanismTable() (map[string]MechanismInfo, error) {
+func (c *Client) mechanismTable() ([]MechanismInfo, error) {
 	c.mechMu.Lock()
 	defer c.mechMu.Unlock()
 	if c.mechs != nil {
@@ -693,12 +747,8 @@ func (c *Client) mechanismTable() (map[string]MechanismInfo, error) {
 	if err := json.Unmarshal(body, &mr); err != nil {
 		return nil, fmt.Errorf("client: bad mechanisms body: %w", err)
 	}
-	mechs := make(map[string]MechanismInfo, len(mr.Mechanisms))
-	for _, mi := range mr.Mechanisms {
-		mechs[mi.Name] = mi
-	}
-	c.mechs = mechs
-	return mechs, nil
+	c.mechs = mr.Mechanisms
+	return c.mechs, nil
 }
 
 // validateCreate checks params against the server's advertised
@@ -711,15 +761,16 @@ func (c *Client) validateCreate(params *CreateParams) error {
 	if err != nil {
 		return err
 	}
-	mi, ok := mechs[params.Mechanism]
-	if !ok {
-		names := make([]string, 0, len(mechs))
-		for name := range mechs {
-			names = append(names, name)
+	i := slices.IndexFunc(mechs, func(mi MechanismInfo) bool { return mi.Name == params.Mechanism })
+	if i < 0 {
+		names := make([]string, len(mechs))
+		for i, mi := range mechs {
+			names[i] = mi.Name
 		}
 		return fmt.Errorf("client: unknown mechanism %q (server offers %s)",
 			params.Mechanism, strings.Join(names, ", "))
 	}
+	mi := mechs[i]
 	if params.Seed != 0 && !mi.Seedable {
 		return fmt.Errorf("client: mechanism %q is not seedable", mi.Name)
 	}

@@ -9,8 +9,12 @@ package client_test
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,6 +61,12 @@ func dial(t *testing.T, addr string, opts client.Options) *client.Client {
 
 func sparseParams() client.CreateParams {
 	return client.CreateParams{Mechanism: "sparse", Epsilon: 1, MaxPositives: 4}
+}
+
+// neverHalting is a sparse session whose threshold sits far above every
+// query this file sends, so every answer is ⊥ and it never halts.
+func neverHalting() client.CreateParams {
+	return client.CreateParams{Mechanism: "sparse", Epsilon: 1, MaxPositives: 1 << 30, Threshold: client.Float(1e12)}
 }
 
 func TestClientEndToEnd(t *testing.T) {
@@ -463,5 +473,238 @@ func TestClientAmbiguousQuery(t *testing.T) {
 	}
 	if st := c.Stats(); st.Ambiguous != 1 {
 		t.Fatalf("Ambiguous = %d, want 1", st.Ambiguous)
+	}
+}
+
+// TestClientMechanismsOrder: the registry comes back in the server's
+// order on every call, both from Mechanisms and in the unknown-mechanism
+// error's list of offerings.
+func TestClientMechanismsOrder(t *testing.T) {
+	addr, _ := startServer(t, server.WireConfig{})
+	c := dial(t, addr, client.Options{})
+	m := server.NewSessionManager(server.ManagerConfig{})
+	t.Cleanup(m.Close)
+	var want []string
+	for _, mi := range m.Mechanisms() {
+		want = append(want, mi.Name)
+	}
+	offers := "server offers " + strings.Join(want, ", ")
+	for i := 0; i < 20; i++ {
+		mechs, err := c.Mechanisms()
+		if err != nil {
+			t.Fatalf("Mechanisms: %v", err)
+		}
+		got := make([]string, len(mechs))
+		for j, mi := range mechs {
+			got[j] = mi.Name
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: Mechanisms order %v, want the server's %v", i, got, want)
+		}
+		_, err = c.Create(client.CreateParams{Mechanism: "nope", Epsilon: 1, MaxPositives: 1})
+		if err == nil || !strings.Contains(err.Error(), offers) {
+			t.Fatalf("call %d: Create(unknown) = %v, want it to say %q", i, err, offers)
+		}
+	}
+}
+
+// TestClientClosesSocketOnCorruptFrame: an epoch that fails — here on a
+// corrupt (empty) frame from the server — closes its socket, so the
+// server sees the hang-up rather than a socket left open until the GC
+// finalises it.
+func TestClientClosesSocketOnCorruptFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	hangup := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			hangup <- err
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		payload, err := wire.ReadFrame(br, nil, 1<<20)
+		if err != nil {
+			hangup <- err
+			return
+		}
+		_, id, _, err := wire.ParseHeader(payload)
+		if err != nil {
+			hangup <- err
+			return
+		}
+		// bufio's write errors are sticky: Flush reports a failed WriteFrame.
+		bw := bufio.NewWriter(conn)
+		wire.WriteFrame(bw, wire.AppendHelloOKBody(wire.AppendHeader(nil, wire.OpHelloOK, id),
+			&wire.HelloOK{Version: wire.Version, MaxFrame: 1 << 20, MaxBatch: 64}))
+		wire.WriteFrame(bw, nil) // an empty payload has no op: a corrupt frame
+		if err := bw.Flush(); err != nil {
+			hangup <- err
+			return
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		_, err = br.ReadByte()
+		hangup <- err
+	}()
+	dial(t, ln.Addr().String(), client.Options{})
+	if err := <-hangup; !errors.Is(err, io.EOF) {
+		t.Fatalf("server read after sending a corrupt frame = %v, want io.EOF from the client closing its socket", err)
+	}
+}
+
+// countingConn counts the Write calls made on a client connection.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestClientCoalescesConcurrentWrites: concurrent callers on one Client
+// share Writes — each burst of calls leaves in one syscall, not one per
+// call.
+func TestClientCoalescesConcurrentWrites(t *testing.T) {
+	addr, _ := startServer(t, server.WireConfig{})
+	var writes atomic.Int64
+	c := dial(t, addr, client.Options{Dialer: func(a string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", a)
+		if err != nil {
+			return nil, err
+		}
+		return countingConn{Conn: conn, writes: &writes}, nil
+	}})
+	sess, err := c.Create(neverHalting())
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	const goroutines, perG = 16, 200
+	before := writes.Load()
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				if _, err := c.Query(sess.ID, []client.QueryItem{{Query: 0}}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent query: %v", err)
+	}
+	if n := writes.Load() - before; n >= goroutines*perG {
+		t.Fatalf("%d pipelined queries took %d Writes, want fewer Writes than queries", goroutines*perG, n)
+	}
+}
+
+// tearConn tears the first Write that carries more than one frame: it
+// forwards the first frame and 3 bytes of the next, then closes the
+// socket and fails the Write, as a connection that dies mid-burst does.
+// whole counts the query frames it delivered complete, up to and
+// including the tear's first frame.
+type tearConn struct {
+	net.Conn
+	torn  *atomic.Bool
+	whole *atomic.Int64
+}
+
+func (c tearConn) Write(p []byte) (int, error) {
+	if c.torn.Load() {
+		return c.Conn.Write(p)
+	}
+	// Until the tear, every Write starts with a whole frame.
+	size, k := binary.Uvarint(p)
+	if p[k] == wire.OpQuery {
+		c.whole.Add(1)
+	}
+	if first := k + int(size); len(p) > first {
+		c.torn.Store(true)
+		n, _ := c.Conn.Write(p[:first+3])
+		c.Conn.Close()
+		return n, errors.New("torn mid-burst")
+	}
+	return c.Conn.Write(p)
+}
+
+// TestClientTornBurstBudgetExact: 16 queries coalesce into one Write,
+// which the connection tears one frame and 3 bytes in. Only calls whose
+// frames reached the server whole may come back ambiguous — just the
+// first, unless the scheduler split the burst and an earlier one-frame
+// Write went unanswered; the rest must be retried. Whatever the server
+// did with the delivered frames, its answered count lies between the
+// acked calls and the acked plus ambiguous ones: no retry spent budget
+// twice.
+func TestClientTornBurstBudgetExact(t *testing.T) {
+	// One P: the leader's yield runs every released caller, so all of
+	// them buffer their frames behind it before the flush.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	addr, _ := startServer(t, server.WireConfig{})
+	sess, err := dial(t, addr, client.Options{}).Create(neverHalting())
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	var torn atomic.Bool
+	var whole atomic.Int64
+	c := dial(t, addr, client.Options{
+		Retry: &client.RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond},
+		Dialer: func(a string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", a)
+			if err != nil {
+				return nil, err
+			}
+			return tearConn{Conn: conn, torn: &torn, whole: &whole}, nil
+		},
+	})
+
+	const callers = 16
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[g] = c.Query(sess.ID, []client.QueryItem{{Query: 0}})
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if !torn.Load() {
+		t.Fatal("no Write carried more than one frame, so the tear never fired")
+	}
+	acked, ambiguous := 0, 0
+	for _, err := range errs {
+		switch {
+		case err == nil:
+			acked++
+		case errors.Is(err, client.ErrAmbiguous):
+			ambiguous++
+		default:
+			t.Fatalf("Query = %v, want success or ErrAmbiguous", err)
+		}
+	}
+	if n := whole.Load(); int64(ambiguous) > n {
+		t.Fatalf("%d ambiguous calls, but only %d query frames reached the server whole", ambiguous, n)
+	}
+	st, err := c.Status(sess.ID)
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	if st.Answered < acked || st.Answered > acked+ambiguous {
+		t.Fatalf("Answered = %d, want between %d acked and %d acked+ambiguous: a retried call spent budget twice", st.Answered, acked, acked+ambiguous)
 	}
 }
