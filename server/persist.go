@@ -394,29 +394,6 @@ func (s *Session) persistRecord() sessionRecord {
 	return rec
 }
 
-// recBufPool recycles journal encode buffers across appends: the store
-// contract forbids retaining Event.Data past Append's return, so a buffer
-// can go straight back into the pool, and the steady-state journaling path
-// allocates nothing.
-var recBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
-// appendStoreEvent encodes one event of the given kind through a pooled
-// buffer and appends it to the store.
-func (m *SessionManager) appendStoreEvent(kind byte, id string, rec *sessionRecord) error {
-	bp := recBufPool.Get().(*[]byte)
-	data := appendSessionRecord((*bp)[:0], rec)
-	err := m.storeAppend(store.Event{Kind: kind, ID: id, Data: data})
-	*bp = data[:0]
-	recBufPool.Put(bp)
-	return err
-}
-
-// journalCreate appends the session's create record.
-func (m *SessionManager) journalCreate(s *Session) error {
-	rec := s.persistRecord()
-	return m.appendStoreEvent(evCreate, s.id, &rec)
-}
-
 // progressDelta is what one answered batch adds to a session's journaled
 // state: the counter deltas, the noise-stream draw deltas, and — only when
 // positives were consumed — the mechanism's opaque evolving state that
@@ -703,29 +680,6 @@ func (s *Session) restoreState(rec *sessionRecord) error {
 		}
 	}
 	s.jDraws, s.jAux = s.inst.Draws()
-	return nil
-}
-
-// journalProgress appends a batch's already-captured deltas; callers hold
-// m.journalMu read-locked. Batches that changed nothing (empty results on
-// an already halted session) are not journaled.
-//
-//svt:hotpath
-func (m *SessionManager) journalProgress(s *Session, d progressDelta) error {
-	if d.answered == 0 {
-		return nil
-	}
-	bp := recBufPool.Get().(*[]byte)
-	data := appendProgressDelta((*bp)[:0], d)
-	err := m.storeAppend(store.Event{Kind: evProgress, ID: s.id, Data: data})
-	*bp = data[:0]
-	recBufPool.Put(bp)
-	if err != nil {
-		if errors.Is(err, ErrUnavailable) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", ErrStoreAppend, err)
-	}
 	return nil
 }
 

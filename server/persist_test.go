@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dpgo/svt/internal/fault"
 	"github.com/dpgo/svt/mech"
 	"github.com/dpgo/svt/store"
 )
@@ -365,6 +366,29 @@ func TestQueryWithheldWhenJournalFails(t *testing.T) {
 	_, qerr := m.Query(s.ID(), surePositive())
 	if !errors.Is(qerr, ErrStoreAppend) {
 		t.Fatalf("query error %v, want ErrStoreAppend: an unjournaled release must be withheld", qerr)
+	}
+}
+
+// TestOversizedBatchSplits: a transaction whose events overflow one store
+// record goes down as several batches, each under the cap, instead of
+// failing whole; a lone event left over still goes through Append.
+func TestOversizedBatchSplits(t *testing.T) {
+	mem := store.NewMem()
+	sched := fault.NewSchedule(1)
+	big := make([]byte, store.MaxRecordSize/3)
+	evs := []store.Event{
+		{Kind: evProgress, ID: "a", Data: big},
+		{Kind: evProgress, ID: "b", Data: big},
+		{Kind: evProgress, ID: "c", Data: big},
+	}
+	if err := appendEvents(fault.Wrap(mem, sched), evs); err != nil {
+		t.Fatal(err)
+	}
+	if b, a := sched.Calls(fault.OpAppendBatch), sched.Calls(fault.OpAppend); b != 1 || a != 1 {
+		t.Fatalf("%d AppendBatch and %d Append calls, want 1 and 1", b, a)
+	}
+	if got := mem.Health().Appends; got != 3 {
+		t.Fatalf("journaled %d events, want 3", got)
 	}
 }
 

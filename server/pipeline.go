@@ -14,7 +14,9 @@ import (
 // decodes a request, hands it here and encodes what comes back; the steps
 // in between — correlation, head sampling, the batch caps, the manager
 // call, the slow-query line and error classification — exist once, so
-// the two edges cannot drift apart.
+// the two edges cannot drift apart. HTTP serves each request with run;
+// the wire edge calls run's halves, admit and finish, around the one
+// journal transaction of its read pass.
 type queryPipeline struct {
 	mgr    *SessionManager
 	tracer *trace.Tracer
@@ -37,13 +39,18 @@ type queryCall struct {
 	// both nil unless the request is trace-sampled.
 	root, decode *trace.Span
 	trace        QueryTrace
+	// tr is what admit threads through the manager: &trace when the
+	// request is trace-sampled or slow-query timing is on, nil otherwise.
+	tr *QueryTrace
+	// start is when admit passed the request, read only when tr is set.
+	start int64
 	// results is the recycled result slice the manager answers into.
 	results []QueryResult
 }
 
 // reset drops the request-scoped pointers so a pooled call pins no trace.
 func (q *queryCall) reset() {
-	q.corr, q.root, q.decode, q.trace = "", nil, nil, QueryTrace{}
+	q.corr, q.root, q.decode, q.trace, q.tr = "", nil, nil, QueryTrace{}, nil
 }
 
 // begin correlates and head-samples one request. corr is the caller's
@@ -67,37 +74,55 @@ func (p *queryPipeline) begin(q *queryCall, corr string, tp trace.TraceID) {
 	}
 }
 
-// run serves one decoded request: the batch checks, the single manager
-// call (journaled before it returns) and the classification of its
-// error. The results alias q.results and stay valid until the next run
-// on q. A failure with an empty code means success.
+// run serves one decoded request as its own journal transaction: admit,
+// the single manager call (journaled before it returns), the slow-query
+// line and finish. The results alias q.results and stay valid until the
+// next run on q. A failure with an empty code means success.
 //
 //svt:hotpath
 func (p *queryPipeline) run(q *queryCall, session string, items []QueryItem) (BatchResult, failure) {
+	if f := p.admit(q, session, items); f.code != "" {
+		return BatchResult{}, f
+	}
+	res, err := p.mgr.queryInto(session, items, q.results[:0], q.tr)
+	if p.slowNanos > 0 {
+		if dur := telemetry.Now() - q.start; dur >= p.slowNanos {
+			p.logSlowQuery(q.tr, session, len(items), dur, err)
+		}
+	}
+	return p.finish(q, session, res, err)
+}
+
+// admit is the pipeline's half before the manager call: it ends the
+// decode span, applies the batch caps and records the request's
+// attributes. Only a slow-query threshold or a sampled trace makes the
+// request read the clock and set q.tr, the trace to thread through the
+// manager.
+//
+//svt:hotpath
+func (p *queryPipeline) admit(q *queryCall, session string, items []QueryItem) failure {
 	q.decode.End()
 	switch n := len(items); {
 	case n == 0:
-		return BatchResult{}, failure{CodeBadRequest, "empty query batch", 0}
+		return failure{CodeBadRequest, "empty query batch", 0}
 	case n > p.maxBatch:
-		return BatchResult{}, p.batchTooLarge(n)
+		return p.batchTooLarge(n)
 	}
 	q.root.SetAttr("session", session)
 	q.root.SetAttrInt("batch", int64(len(items)))
-	// Only a slow-query threshold or a sampled trace makes the request read
-	// the clock and thread a trace through the manager.
-	var tr *QueryTrace
-	var start int64
 	if p.slowNanos > 0 || q.root != nil {
-		start = telemetry.Now()
+		q.start = telemetry.Now()
 		q.trace = QueryTrace{TraceID: q.corr, Span: q.root}
-		tr = &q.trace
+		q.tr = &q.trace
 	}
-	res, err := p.mgr.queryInto(session, items, q.results[:0], tr)
-	if p.slowNanos > 0 {
-		if dur := telemetry.Now() - start; dur >= p.slowNanos {
-			p.logSlowQuery(tr, session, len(items), dur, err)
-		}
-	}
+	return failure{}
+}
+
+// finish is the pipeline's half after the manager call: it keeps a grown
+// result slice for the next request on q and classifies the error.
+//
+//svt:hotpath
+func (p *queryPipeline) finish(q *queryCall, session string, res BatchResult, err error) (BatchResult, failure) {
 	if cap(res.Results) > cap(q.results) {
 		q.results = res.Results[:0]
 	}

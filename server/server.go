@@ -21,7 +21,6 @@ package server
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"log"
 	"math"
@@ -164,6 +163,9 @@ type SessionManager struct {
 	journalMu         sync.RWMutex
 	snapMu            sync.Mutex
 	recoveredSessions int
+	// unjournaled is the transaction every caller shares when there is no
+	// store (see beginTx).
+	unjournaled journalTx
 
 	// Journal-append deadline machinery (deadline.go): a bounded free
 	// list of waiter goroutines, the configured deadline (0 = off), and
@@ -253,6 +255,7 @@ func Open(cfg ManagerConfig) (*SessionManager, error) {
 		now:         time.Now,
 		logf:        log.Printf,
 	}
+	m.unjournaled.m = m
 	m.maxTenantSeries = cfg.MaxTenantSeries
 	if m.maxTenantSeries <= 0 {
 		m.maxTenantSeries = DefaultMaxTenantSeries
@@ -454,38 +457,16 @@ func newID() (string, error) {
 // fresh random ID and journals it. A session whose create event cannot be
 // journaled is rolled back and never exposed.
 func (m *SessionManager) Create(p CreateParams) (*Session, error) {
-	// Reserve the slot first so concurrent Creates cannot overshoot the
-	// cap between a check and an increment.
-	if n := m.live.Add(1); m.maxLive > 0 && n > int64(m.maxLive) {
-		m.live.Add(-1)
-		return nil, ErrTooManySessions
+	tx := m.beginTx()
+	s, err := tx.create(p)
+	if cerr := tx.commit(); cerr != nil {
+		return nil, cerr
 	}
-	if m.store != nil {
-		m.journalMu.RLock()
-		defer m.journalMu.RUnlock()
-	}
-	s, sh, err := m.create(p)
-	if err != nil {
-		m.live.Add(-1)
-		return nil, err
-	}
-	if m.store != nil {
-		if err := m.journalCreate(s); err != nil {
-			sh.mu.Lock()
-			delete(sh.sessions, s.id)
-			sh.mu.Unlock()
-			m.live.Add(-1)
-			if errors.Is(err, ErrUnavailable) {
-				return nil, err
-			}
-			return nil, fmt.Errorf("%w: %v", ErrStoreAppend, err)
-		}
-	}
-	sh.created.Add(1)
-	return s, nil
+	return s, err
 }
 
-// create builds and registers the session; Create owns the live count.
+// create builds and registers the session; journalTx.create owns the
+// live count.
 func (m *SessionManager) create(p CreateParams) (*Session, *shard, error) {
 	ttl := m.defaultTTL
 	if p.TTLSeconds < 0 || math.IsNaN(p.TTLSeconds) {
@@ -552,11 +533,12 @@ func (m *SessionManager) Get(id string) (*Session, bool) {
 		}
 		sh.mu.Unlock()
 		if collected && m.store != nil {
-			// Best-effort, outside journalMu (Query already holds its read
-			// side, and RWMutex read locks must not nest). A lost expire
-			// event only resurrects the session on restart with its budget
-			// accounting intact; it then re-expires by TTL.
-			_ = m.storeAppend(store.Event{Kind: evExpire, ID: id})
+			// Best-effort and without journalMu of its own (a committing
+			// transaction may already hold its read side, and RWMutex read
+			// locks must not nest). A lost expire event only resurrects the
+			// session on restart with its budget accounting intact; it then
+			// re-expires by TTL.
+			_ = m.storeAppend([]store.Event{{Kind: evExpire, ID: id}})
 		}
 		return nil, false
 	}
@@ -569,26 +551,10 @@ func (m *SessionManager) Get(id string) (*Session, bool) {
 // resurrecting after a restart with its budget accounting intact, which the
 // TTL janitor then collects (the failure is visible in the store's Health).
 func (m *SessionManager) Delete(id string) bool {
-	if m.store != nil {
-		m.journalMu.RLock()
-		defer m.journalMu.RUnlock()
-	}
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	_, ok := sh.sessions[id]
-	if ok {
-		delete(sh.sessions, id)
-	}
-	sh.mu.Unlock()
-	if !ok {
-		return false
-	}
-	if m.store != nil {
-		_ = m.storeAppend(store.Event{Kind: evDelete, ID: id})
-	}
-	sh.deleted.Add(1)
-	m.live.Add(-1)
-	return true
+	tx := m.beginTx()
+	ok := tx.delete(id)
+	_ = tx.commit()
+	return ok
 }
 
 // Len returns the number of live sessions (including expired ones the
@@ -610,8 +576,9 @@ type QueryTrace struct {
 	TraceID string
 	// Mechanism is the queried session's mechanism, filled by the manager.
 	Mechanism Mechanism
-	// JournalNanos is how long the batch's journal append took — the
-	// store's group-commit/flush wait — 0 when the manager has no store.
+	// JournalNanos is how long the journal append of the request's
+	// transaction took — the store's group-commit/flush wait, shared by
+	// every request in a wire read pass — 0 when the manager has no store.
 	JournalNanos int64
 	// Span is the request's root span when the request is trace-sampled,
 	// nil otherwise (every span operation is nil-safe, so the manager
@@ -638,67 +605,17 @@ func (m *SessionManager) Query(id string, items []QueryItem) (BatchResult, error
 	return m.queryInto(id, items, nil, nil)
 }
 
-// queryInto is the single query entry point. It writes the results into
-// dst's backing array (dst may be nil), so the query pipeline recycles
-// result slices across requests; callers that retain the results pass
-// nil. A non-nil tr is filled with the request's trace details, at the
-// cost of a few clock reads around the journal append. Per-mechanism
-// counting happens inside queryTake (under the session lock, where the
-// deltas are exact); this level adds journaling, the sampled latency
-// histogram and trace capture.
+// queryInto is the single-request query entry point: a transaction of
+// one (see journalTx.query). It writes the results into dst's backing
+// array (dst may be nil), so the query pipeline recycles result slices
+// across requests; callers that retain the results pass nil. A non-nil tr
+// is filled with the request's trace details, at the cost of a few clock
+// reads around the journal append.
 func (m *SessionManager) queryInto(id string, items []QueryItem, dst []QueryResult, tr *QueryTrace) (BatchResult, error) {
-	start, sampled := m.tel.sampleQueryStart()
-	s, ok := m.Get(id)
-	if !ok {
-		return BatchResult{}, ErrSessionNotFound
-	}
-	// Every span call below is nil-safe: when the request is not
-	// trace-sampled (tr nil or tr.Span nil) ms stays nil and the whole
-	// block costs a handful of nil checks and zero allocations.
-	var ms *trace.Span
-	if tr != nil {
-		tr.Mechanism = s.mech
-		ms = tr.Span.StartChild("manager")
-		ms.SetAttr("mechanism", string(s.mech))
-	}
-	if m.store == nil {
-		as := ms.StartChild("answer")
-		res, _, err := s.queryTake(items, dst, false)
-		as.End()
-		ms.End()
-		if sampled && err == nil {
-			m.observeQuery(s, start, exemplarID(tr))
-		}
-		return res, err
-	}
-	m.journalMu.RLock()
-	as := ms.StartChild("answer")
-	res, d, err := s.queryTake(items, dst, true)
-	as.End()
-	var jerr error
-	if tr != nil {
-		js := ms.StartChild("journal.wait")
-		j0 := telemetry.Now()
-		jerr = m.journalProgress(s, d)
-		tr.JournalNanos = telemetry.Now() - j0
-		js.SetAttrInt("answered", int64(d.answered))
-		js.End()
-		if jerr == nil && js != nil && m.storeInst != nil {
-			// Under SyncAlways the flush observed most recently by the
-			// instrumenter is the one this request just waited on; break
-			// the journal wait into its gather/write/sync phases.
-			m.storeInst.attachFlushPhases(js)
-		}
-	} else {
-		jerr = m.journalProgress(s, d)
-	}
-	m.journalMu.RUnlock()
-	ms.End()
-	if jerr != nil {
-		return BatchResult{}, jerr
-	}
-	if sampled && err == nil {
-		m.observeQuery(s, start, exemplarID(tr))
+	tx := m.beginTx()
+	res, err := tx.query(id, items, dst, tr)
+	if cerr := tx.commit(); cerr != nil {
+		return BatchResult{}, cerr
 	}
 	return res, err
 }

@@ -142,7 +142,7 @@ func (m *SessionManager) registerManagerTelemetry(reg *telemetry.Registry) *mana
 			emit(telemetry.Label("edge", "wire"), float64(m.shedWire.Load()))
 		})
 	reg.NewCollector("svt_journal_deadline_exceeded_total",
-		"Journal appends abandoned at ManagerConfig.JournalDeadline (request failed retryable; the append itself was never acknowledged).", "counter",
+		"Requests withheld because their journal append was abandoned at ManagerConfig.JournalDeadline (each failed retryable; the append itself was never acknowledged).", "counter",
 		func(emit func(string, float64)) { emit("", float64(m.deadlineExceeded.Load())) })
 	reg.NewCollector("svt_sessions_recovered", "Sessions rebuilt from the store at open.", "gauge",
 		func(emit func(string, float64)) { emit("", float64(m.recoveredSessions)) })

@@ -2,9 +2,9 @@ package server
 
 // Trace retrieval endpoints and request-ID minting. The capture side
 // lives in the hot path (the query pipeline starts the root span, the
-// manager adds its children in queryInto); this file is the read side —
-// the operator asking "what did that slow request actually spend its time
-// on" — plus the ID mint both sides share.
+// manager adds its children in journalTx.query and commit); this file is
+// the read side — the operator asking "what did that slow request
+// actually spend its time on" — plus the ID mint both sides share.
 
 import (
 	"math/rand/v2"

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,15 +23,28 @@ import (
 // HTTP API, with full parity — per-tenant rate limiting, telemetry
 // families, trace spans through the QueryTrace seam, and the
 // journal-before-response invariant, which the wire path inherits by
-// construction because every response frame is encoded only after
-// SessionManager.Query* returns, i.e. after the journal append.
+// construction because every response frame is encoded only after the
+// journal transaction carrying its request has committed.
 //
 // Each connection starts with a hello frame naming the protocol version,
-// the tenant and an optional traceparent, then carries pipelined
-// request frames whose responses may return out of order (matched by
-// request ID). The per-connection hot path is pooled end to end: reused
-// read buffer, pooled decode scratch, reused response buffer — see
-// TestWireQueryHotPathAllocs for the pin.
+// the tenant and an optional traceparent, then carries pipelined request
+// frames, which one goroutine per connection serves in read passes. A
+// pass blocks for one frame, then takes every further frame already whole
+// in the connection's read buffer. Its queries, creates and deletes run
+// in arrival order as one journal transaction — one store append — and
+// every response is encoded after that append returns; the pass leaves
+// in one flush. Status, mechanisms and refused frames (rate limit,
+// shedding, protocol errors) journal nothing and are answered as they are
+// read — a pipelined status does not see a query, create or delete queued
+// ahead of it in the same pass — so responses within a pass may leave in
+// any order (matched by request ID). A client that waits for each reply
+// gets passes of one.
+//
+// The trade-off: one connection's server work runs on one goroutine, so a
+// client that wants more server-side parallelism opens more connections.
+// The per-connection hot path is pooled end to end: reused read buffer,
+// pooled per-request scratch, reused response buffers — see
+// TestWireQueryHotPathAllocs and TestWirePassAllocs for the pins.
 type WireServer struct {
 	mgr *SessionManager
 	cfg WireConfig
@@ -49,8 +63,8 @@ type WireServer struct {
 	wg sync.WaitGroup
 
 	// inFlight counts admitted queries across every connection when
-	// cfg.MaxInFlight is set (untouched otherwise). Admission happens on
-	// the reader goroutines, release once the response payload is built.
+	// cfg.MaxInFlight is set (untouched otherwise). Admission happens as a
+	// pass reads a query, release once its response payload is built.
 	inFlight atomic.Int64
 
 	logf func(format string, args ...any)
@@ -91,26 +105,20 @@ type WireConfig struct {
 	// shape as the HTTP path (decode, manager/answer/journal.wait with
 	// store flush phases, encode), served on GET /v1/traces.
 	Tracer *trace.Tracer
-	// IdleTimeout re-arms a read+write deadline on the connection each
-	// time a frame arrives: a peer that goes silent (or stops reading
-	// its responses) for this long is disconnected instead of holding a
-	// goroutine and its buffers forever. Before this knob only Shutdown
-	// ever set a deadline. 0 disables (the historical behavior, and what
-	// latency benchmarks use).
+	// IdleTimeout re-arms a read+write deadline on the connection once per
+	// read pass, each time the connection goes back to wait for a frame: a
+	// peer that goes silent (or stops reading its responses) for this long
+	// is disconnected instead of holding a goroutine and its buffers
+	// forever. Before this knob only Shutdown ever set a deadline. 0
+	// disables (the historical behavior, and what latency benchmarks use).
 	IdleTimeout time.Duration
-	// MaxInFlight caps queries in flight across all connections (worker
-	// pool plus queues). Past the cap the server load-sheds with a typed
-	// "unavailable" error frame carrying RetryAfterSeconds, counted in
-	// svt_shed_total{edge="wire"} — shedding, not queue collapse. 0
+	// MaxInFlight caps queries in flight across all connections: read into
+	// a pass but not yet answered. Past the cap the server load-sheds with
+	// a typed "unavailable" error frame carrying RetryAfterSeconds, counted
+	// in svt_shed_total{edge="wire"} — shedding, not queue collapse. 0
 	// means unlimited.
 	MaxInFlight int
 }
-
-// wireWorkers caps the per-connection pipeline workers that serve
-// out-of-order responses. A connection that never pipelines (next request
-// only after the response) is served inline by its reader goroutine and
-// spawns no workers.
-const wireWorkers = 4
 
 // ErrWireServerClosed is returned by Serve after Shutdown, mirroring
 // http.ErrServerClosed.
@@ -299,43 +307,58 @@ func (t *wireTelemetry) count(opIdx int, ok bool) {
 	}
 }
 
-// wireScratch is the pooled per-request working set of the wire query
-// path: decoded request (with its bucket arena), the manager-facing item
-// and threshold slices, the pipeline call with its result slice, the
-// codec's result slice, the response encode buffer and the correlation
-// buffer.
+// wireScratch is the pooled working set of one request a pass journals —
+// a query, a create or a delete: its identity, the decoded request (a
+// query's with its bucket arena, a create's params), the manager-facing
+// item and threshold slices, the pipeline call with its result slice, the
+// manager's answer, and the response encode buffers. Everything it keeps
+// is copied out of the read buffer, which the next frame reuses. A
+// connection's own scratch builds the responses written in place.
 type wireScratch struct {
+	op    byte
+	reqID uint64
+	// session is a query's session or a delete's target.
+	session    string
 	req        wire.QueryRequest
 	items      []QueryItem
 	thresholds []float64
 	call       queryCall
-	wres       []wire.Result
-	out        []byte
-	corr       []byte
+	params     CreateParams
+	// The manager's answer: a query's results, a created session or
+	// whether a deleted one existed, and the request's own error.
+	res     BatchResult
+	created *Session
+	found   bool
+	err     error
+	// start and sampled are a query's wire latency sample.
+	start   int64
+	sampled bool
+	wres    []wire.Result
+	out     []byte
+	corr    []byte
 }
 
 var wireScratchPool = sync.Pool{New: func() any {
 	return &wireScratch{out: make([]byte, 0, 512)}
 }}
 
-// wireJob is one pipelined query handed to a connection worker. The body
-// is an owned copy: the reader's frame buffer is already being reused for
-// the next frame by the time a worker runs.
-type wireJob struct {
-	reqID uint64
-	body  []byte
+// release recycles a scratch, dropping everything request-scoped first so
+// the pool pins no session state, span or decoded pointers.
+func (sc *wireScratch) release() {
+	sc.session, sc.req.Session, sc.req.Corr = "", nil, nil
+	sc.call.reset()
+	sc.params, sc.res, sc.created, sc.err = CreateParams{}, BatchResult{}, nil, nil
+	wireScratchPool.Put(sc)
 }
 
-// wireConn is one accepted connection. The reader goroutine owns br,
-// readBuf and sc; responses (reader's or workers') are serialized by wmu
-// over the shared buffered writer. Everything else a worker touches is
-// its own scratch or read-only after the handshake.
+// wireConn is one accepted connection, served entirely by its reader
+// goroutine: it owns the buffered reader and writer, the read buffer, its
+// own scratch for the responses written in place, and the pass's queued
+// requests.
 type wireConn struct {
 	srv *WireServer
 	c   net.Conn
 	br  *bufio.Reader
-
-	wmu sync.Mutex
 	bw  *bufio.Writer
 
 	tenant string
@@ -344,13 +367,9 @@ type wireConn struct {
 
 	readBuf []byte
 	sc      *wireScratch
-
-	// inflight counts dispatched-but-unwritten pipelined responses; the
-	// writer flushes when it drains to zero.
-	inflight atomic.Int32
-	jobs     chan wireJob
-	workers  int
-	wwg      sync.WaitGroup
+	// pending holds the pass's queries, creates and deletes in arrival
+	// order, each in its own pooled scratch.
+	pending []*wireScratch
 
 	draining atomic.Bool
 }
@@ -379,15 +398,9 @@ func (c *wireConn) serve() {
 		t.connections.Add(1)
 	}
 	c.run()
-	// Drain: stop feeding workers, wait for in-flight responses, flush
-	// whatever is buffered, then tear the connection down.
-	if c.jobs != nil {
-		close(c.jobs)
-	}
-	c.wwg.Wait()
-	c.wmu.Lock()
+	// Every pass answered its frames before run returned: flush whatever
+	// is buffered, then tear the connection down.
 	c.bw.Flush()
-	c.wmu.Unlock()
 	c.c.Close()
 	c.sc.release()
 	c.sc = nil
@@ -399,69 +412,79 @@ func (c *wireConn) serve() {
 	}
 }
 
-// release recycles a scratch, dropping everything request-scoped first so
-// the pool pins no session state, span or decoded pointers.
-func (sc *wireScratch) release() {
-	sc.req.Session, sc.req.Corr = nil, nil
-	sc.call.reset()
-	wireScratchPool.Put(sc)
-}
-
-// run is the read loop: handshake, then frames until read error or drain.
-// It is deliberately not //svt:hotpath-marked: the idle-deadline re-arm
-// reads the wall clock once per received frame, which is fine off the
-// pinned allocation path.
+// run is the read loop: handshake, then passes until a read error or
+// drain. It is deliberately not //svt:hotpath-marked: the idle-deadline
+// re-arm reads the wall clock once per pass, which is fine off the pinned
+// allocation path.
 func (c *wireConn) run() {
 	c.armIdleDeadline()
 	if !c.handshake() {
 		return
 	}
-	maxFrame := c.srv.cfg.MaxFrameBytes
 	for {
 		c.armIdleDeadline()
+		if c.pass() != nil {
+			return
+		}
+	}
+}
+
+// pass serves one read: it takes the frames read delivered, answers them
+// and flushes. A corrupt or oversized frame first lets the frames before
+// it be answered, then sends its error frame and ends the connection:
+// past it the stream offset is not trustworthy.
+func (c *wireConn) pass() error {
+	f, err := c.read()
+	if aerr := c.answer(); aerr != nil {
+		return aerr
+	}
+	if f.code != "" {
+		c.writeError(c.sc.errorPayload(0, f))
+	}
+	return err
+}
+
+// read takes a pass's frames: it blocks for one, then takes every further
+// frame whose bytes are already whole in the read buffer, so a pass never
+// blocks midway and holds at most one read buffer of frames. A non-nil
+// error ends the connection after the pass; f, when set, is the error
+// frame to send first.
+func (c *wireConn) read() (failure, error) {
+	maxFrame := c.srv.cfg.MaxFrameBytes
+	for {
 		payload, err := wire.ReadFrame(c.br, c.readBuf, maxFrame)
 		c.readBuf = payload
 		if err != nil {
 			if errors.Is(err, wire.ErrFrameTooLarge) {
-				c.writeError(c.sc.errorPayload(0, failure{CodeTooLarge, err.Error(), 0}))
+				return failure{CodeTooLarge, err.Error(), 0}, err
 			}
-			return
+			return failure{}, err
 		}
 		op, reqID, body, err := wire.ParseHeader(payload)
 		if err != nil {
-			// Corrupt framing: past this point the stream offset is not
-			// trustworthy, so answer and drop the connection.
-			c.writeError(c.sc.errorPayload(0, failure{CodeBadRequest, err.Error(), 0}))
-			return
+			return failure{CodeBadRequest, err.Error(), 0}, err
 		}
-		if rl := c.srv.limiter.Load(); rl != nil {
-			if ok, wait := rl.Allow(c.tenant); !ok {
-				c.srv.tel.count(wireOpIndex(op), false)
-				c.writeError(c.sc.errorPayload(reqID, rl.rejection(c.tenant, wait)))
-				continue
-			}
+		if err := c.accept(op, reqID, body); err != nil {
+			return failure{}, err
 		}
-		isQuery := op == wire.OpQuery
-		if isQuery && !c.srv.admitQuery() {
-			// Worker pool plus queue saturated: shed with the typed
-			// retryable error rather than queueing toward collapse.
-			c.srv.tel.count(wireOpQueryIdx, false)
-			c.writeError(c.sc.errorPayload(reqID, failure{CodeUnavailable,
-				"server overloaded: in-flight query cap reached, retry shortly",
-				DefaultRetryAfterSeconds}))
-			continue
-		}
-		if isQuery && (c.br.Buffered() > 0 || c.inflight.Load() > 0) {
-			// The client is pipelining: hand the query to a worker so a
-			// slow journal flush on one request doesn't head-of-line block
-			// the rest, and responses return as they finish.
-			c.dispatch(reqID, body)
-			continue
-		}
-		if c.handleOp(c.sc, op, reqID, body) != nil {
-			return
+		if !c.frameBuffered() {
+			return failure{}, nil
 		}
 	}
+}
+
+// frameBuffered reports whether the read buffer already holds a whole
+// frame, so reading it cannot block.
+//
+//svt:hotpath
+func (c *wireConn) frameBuffered() bool {
+	n := c.br.Buffered()
+	if n == 0 {
+		return false
+	}
+	prefix, _ := c.br.Peek(min(n, binary.MaxVarintLen64))
+	size, k := binary.Uvarint(prefix)
+	return k > 0 && size <= uint64(n-k)
 }
 
 // armIdleDeadline pushes the connection's read+write deadline IdleTimeout
@@ -515,53 +538,42 @@ func (c *wireConn) handshake() bool {
 	out = wire.AppendHelloOKBody(out, &ok)
 	c.sc.out = out[:0]
 	c.srv.tel.count(wireOpHelloIdx, true)
-	return c.writeFrame(out) == nil
+	return wire.WriteFrame(c.bw, out) == nil && c.bw.Flush() == nil
 }
 
-// dispatch hands a pipelined query to a worker, growing the pool up to
-// the configured cap.
-func (c *wireConn) dispatch(reqID uint64, body []byte) {
-	if c.jobs == nil {
-		c.jobs = make(chan wireJob, 2*wireWorkers)
+// handleOp serves one frame as a pass of its own: the path of a client
+// that waits for each reply.
+func (c *wireConn) handleOp(op byte, reqID uint64, body []byte) error {
+	if err := c.accept(op, reqID, body); err != nil {
+		return err
 	}
-	if c.workers < wireWorkers {
-		c.workers++
-		c.wwg.Add(1)
-		go c.worker()
-	}
-	c.inflight.Add(1)
-	c.jobs <- wireJob{reqID: reqID, body: append([]byte(nil), body...)}
+	return c.answer()
 }
 
-func (c *wireConn) worker() {
-	defer c.wwg.Done()
-	sc := wireScratchPool.Get().(*wireScratch)
-	defer sc.release()
-	for job := range c.jobs {
-		c.handleQuery(sc, job.reqID, job.body, true)
+// accept takes one frame into the pass. Queries, creates and deletes are
+// queued for the pass's journal transaction; everything else journals
+// nothing and is answered in place. A non-nil error is a failed write:
+// the connection is gone.
+func (c *wireConn) accept(op byte, reqID uint64, body []byte) error {
+	if rl := c.srv.limiter.Load(); rl != nil {
+		if ok, wait := rl.Allow(c.tenant); !ok {
+			c.srv.tel.count(wireOpIndex(op), false)
+			return wire.WriteFrame(c.bw, c.sc.errorPayload(reqID, rl.rejection(c.tenant, wait)))
+		}
 	}
-}
-
-// handleOp serves one inline (non-pipelined) request on the reader
-// goroutine.
-func (c *wireConn) handleOp(sc *wireScratch, op byte, reqID uint64, body []byte) error {
 	switch op {
-	case wire.OpQuery:
-		return c.handleQuery(sc, reqID, body, false)
-	case wire.OpCreate:
-		return c.handleCreate(sc, reqID, body)
+	case wire.OpQuery, wire.OpCreate, wire.OpDelete:
+		return c.queue(op, reqID, body)
 	case wire.OpStatus:
-		return c.handleStatus(sc, reqID, body)
-	case wire.OpDelete:
-		return c.handleDelete(sc, reqID, body)
+		return c.handleStatus(reqID, body)
 	case wire.OpMechanisms:
-		return c.handleMechanisms(sc, reqID)
+		return c.handleMechanisms(reqID)
 	case wire.OpHello:
 		c.srv.tel.count(wireOpHelloIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, failure{CodeBadRequest, "duplicate hello", 0}))
+		return wire.WriteFrame(c.bw, c.sc.errorPayload(reqID, failure{CodeBadRequest, "duplicate hello", 0}))
 	default:
 		c.srv.tel.count(wireOpOtherIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, failure{CodeBadRequest,
+		return wire.WriteFrame(c.bw, c.sc.errorPayload(reqID, failure{CodeBadRequest,
 			fmt.Sprintf("unknown op %#x", op), 0}))
 	}
 }
@@ -585,46 +597,72 @@ func wireOpIndex(op byte) int {
 	}
 }
 
-// handleQuery runs one admitted query request end to end: build the
-// response payload (hot, pooled), free the in-flight slot, write the
-// payload with pipelining-aware flushing, then account for it.
+// queue decodes a query, create or delete into its own pooled scratch and
+// adds it to the pass. A query past the in-flight cap, and a request that
+// fails to decode or to pass the pipeline's admission, is answered in
+// place.
 //
 //svt:hotpath
-func (c *wireConn) handleQuery(sc *wireScratch, reqID uint64, body []byte, pipelined bool) error {
-	start, sampled := c.srv.tel.sampleStart()
-	out := c.queryResponse(sc, reqID, body)
-	// Free the slot before the write: a client that sends its next query
-	// as soon as it reads this reply must not be shed because of it.
-	c.srv.releaseQuery()
-	var err error
-	if pipelined {
-		err = c.finishJob(out)
-	} else {
-		err = c.writeFrame(out)
+func (c *wireConn) queue(op byte, reqID uint64, body []byte) error {
+	if op == wire.OpQuery && !c.srv.admitQuery() {
+		// Shed with the typed retryable error rather than queueing toward
+		// collapse.
+		c.srv.tel.count(wireOpQueryIdx, false)
+		return wire.WriteFrame(c.bw, c.sc.errorPayload(reqID, failure{CodeUnavailable,
+			"server overloaded: in-flight query cap reached, retry shortly",
+			DefaultRetryAfterSeconds}))
 	}
-	if t := c.srv.tel; t != nil {
-		t.count(wireOpQueryIdx, out[0] == wire.OpQueryOK)
-		if sampled {
-			t.latency.ObserveNExemplar(telemetry.Seconds(telemetry.Now()-start), querySamplePeriod, sc.call.root.TraceIDString())
+	sc := wireScratchPool.Get().(*wireScratch)
+	sc.op, sc.reqID = op, reqID
+	var f failure
+	switch op {
+	case wire.OpQuery:
+		sc.start, sc.sampled = c.srv.tel.sampleStart()
+		f = c.decodeQuery(sc, body)
+	case wire.OpCreate:
+		if err := json.Unmarshal(body, &sc.params); err != nil {
+			f = failure{CodeBadRequest, "bad request body: " + err.Error(), 0}
 		}
+		// The tenant comes from the hello handshake, never the body — the
+		// same rule as the HTTP header.
+		sc.params.Tenant = c.tenant
+	case wire.OpDelete:
+		id, err := wire.DecodeIDBody(body)
+		if err != nil {
+			f = failure{CodeBadRequest, err.Error(), 0}
+		}
+		sc.session = string(id)
 	}
-	sc.call.reset()
+	if f.code == "" {
+		c.pending = append(c.pending, sc)
+		return nil
+	}
+	out := sc.errorPayload(reqID, f)
+	if op == wire.OpQuery {
+		sc.call.root.End()
+		c.finishQuery(sc, out)
+	} else {
+		c.srv.tel.count(wireOpIndex(op), false)
+	}
+	err := wire.WriteFrame(c.bw, out)
+	sc.release()
 	return err
 }
 
-// queryResponse is the wire edge of the query pipeline: decode, the
-// pipeline, encode. It returns the complete response payload (success or
-// typed error) backed by sc.out. The correlation ID travels in the body,
-// so the pipeline begins after the decode.
+// decodeQuery is the wire edge's query decode followed by the pipeline's
+// admission. The session and correlation IDs are copied out of the read
+// buffer; the correlation ID travels in the body, so the pipeline begins
+// after the decode.
 //
 //svt:hotpath
-func (c *wireConn) queryResponse(sc *wireScratch, reqID uint64, body []byte) []byte {
+func (c *wireConn) decodeQuery(sc *wireScratch, body []byte) failure {
 	if err := wire.DecodeQueryBody(body, &sc.req); err != nil {
-		return sc.errorPayload(reqID, failure{CodeBadRequest, "bad query body: " + err.Error(), 0})
+		return failure{CodeBadRequest, "bad query body: " + err.Error(), 0}
 	}
 	q := &sc.call
 	c.srv.queries.begin(q, string(sc.req.Corr), c.tpID)
-	defer q.root.End()
+	sc.session = string(sc.req.Session)
+	sc.req.Session, sc.req.Corr = nil, nil
 	// Convert to the manager's item shape. Thresholds live in a parallel
 	// arena; pointers are taken only after both slices stop growing.
 	n := len(sc.req.Items)
@@ -647,9 +685,96 @@ func (c *wireConn) queryResponse(sc *wireScratch, reqID uint64, body []byte) []b
 		}
 	}
 	sc.items, sc.thresholds = items, thresholds
-	res, f := c.srv.queries.run(q, string(sc.req.Session), items)
+	return c.srv.queries.admit(q, sc.session, items)
+}
+
+// answer runs the pass's queued requests in arrival order as one journal
+// transaction, encodes every response after the commit, and flushes the
+// pass, the responses written in place included.
+//
+//svt:hotpath
+func (c *wireConn) answer() error {
+	var err error
+	if len(c.pending) > 0 {
+		tx := c.srv.mgr.beginTx()
+		for _, sc := range c.pending {
+			switch sc.op {
+			case wire.OpQuery:
+				sc.res, sc.err = tx.query(sc.session, sc.items, sc.call.results[:0], sc.call.tr)
+			case wire.OpCreate:
+				sc.created, sc.err = tx.create(sc.params)
+			case wire.OpDelete:
+				sc.found = tx.delete(sc.session)
+			}
+		}
+		cerr := tx.commit()
+		for _, sc := range c.pending {
+			if werr := wire.WriteFrame(c.bw, c.respond(sc, cerr)); err == nil {
+				err = werr
+			}
+			sc.release()
+		}
+		clear(c.pending)
+		c.pending = c.pending[:0]
+	}
+	if ferr := c.bw.Flush(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// respond builds sc's response once the pass's transaction has committed
+// with error cerr, and accounts for it. A request that failed on its own
+// reports its own error; a delete reports done whatever the commit did
+// (see Delete); every other request reports the commit's error, which
+// withholds its answer.
+//
+//svt:hotpath
+func (c *wireConn) respond(sc *wireScratch, cerr error) []byte {
+	err := sc.err
+	if err == nil {
+		err = cerr
+	}
+	switch sc.op {
+	case wire.OpQuery:
+		return c.queryResponse(sc, err)
+	case wire.OpCreate:
+		var out []byte
+		if err != nil {
+			out = sc.errorPayload(sc.reqID, classify(err, ""))
+		} else {
+			out = sc.jsonPayload(wire.OpCreateOK, sc.reqID, CreateResponse{
+				SessionStatus: sc.created.Status(),
+				TTLSeconds:    sc.created.ttl.Seconds(),
+			})
+		}
+		c.srv.tel.count(wireOpCreateIdx, out[0] != wire.OpError)
+		return out
+	default:
+		if !sc.found {
+			c.srv.tel.count(wireOpDeleteIdx, false)
+			return sc.errorPayload(sc.reqID, noSuchSession(sc.session))
+		}
+		out := wire.AppendHeader(sc.out[:0], wire.OpDeleteOK, sc.reqID)
+		sc.out = out[:0]
+		c.srv.tel.count(wireOpDeleteIdx, true)
+		return out
+	}
+}
+
+// queryResponse is the pipeline's finish half followed by the wire
+// encode. It returns the complete response payload (success or typed
+// error) backed by sc.out.
+//
+//svt:hotpath
+func (c *wireConn) queryResponse(sc *wireScratch, err error) []byte {
+	q := &sc.call
+	defer q.root.End()
+	res, f := c.srv.queries.finish(q, sc.session, sc.res, err)
 	if f.code != "" {
-		return sc.errorPayload(reqID, f)
+		out := sc.errorPayload(sc.reqID, f)
+		c.finishQuery(sc, out)
+		return out
 	}
 	es := q.root.StartChild("encode")
 	wres := sc.wres[:0]
@@ -668,46 +793,38 @@ func (c *wireConn) queryResponse(sc *wireScratch, reqID uint64, body []byte) []b
 	}
 	sc.wres = wres
 	sc.corr = append(sc.corr[:0], q.corr...)
-	out := wire.AppendHeader(sc.out[:0], wire.OpQueryOK, reqID)
+	out := wire.AppendHeader(sc.out[:0], wire.OpQueryOK, sc.reqID)
 	out = wire.AppendQueryOKBody(out, sc.corr, res.Halted, res.Remaining, wres)
 	sc.out = out[:0]
 	es.End()
+	c.finishQuery(sc, out)
 	return out
 }
 
-// writeFrame writes one response frame from the reader goroutine (inline
-// path), flushing unless pipelined responses are still in flight.
+// finishQuery frees a query's in-flight slot — before the pass flushes,
+// so a client that sends its next query as soon as it reads this reply
+// is not shed because of it — and accounts for its response.
 //
 //svt:hotpath
-func (c *wireConn) writeFrame(payload []byte) error {
-	c.wmu.Lock()
-	err := wire.WriteFrame(c.bw, payload)
-	if err == nil && c.inflight.Load() == 0 {
-		err = c.bw.Flush()
+func (c *wireConn) finishQuery(sc *wireScratch, out []byte) {
+	c.srv.releaseQuery()
+	if t := c.srv.tel; t != nil {
+		t.count(wireOpQueryIdx, out[0] == wire.OpQueryOK)
+		if sc.sampled {
+			t.latency.ObserveNExemplar(telemetry.Seconds(telemetry.Now()-sc.start), querySamplePeriod, sc.call.root.TraceIDString())
+		}
 	}
-	c.wmu.Unlock()
-	return err
 }
 
-// finishJob writes one pipelined response, flushing when it was the last
-// in flight.
-//
-//svt:hotpath
-func (c *wireConn) finishJob(payload []byte) error {
-	c.wmu.Lock()
-	err := wire.WriteFrame(c.bw, payload)
-	if c.inflight.Add(-1) == 0 && err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-	return err
-}
-
-// writeError writes an error frame outside the normal response path (bad
-// framing, rate limit, handshake failures), logging a failed write rather
+// writeError writes and flushes an error frame outside a pass (handshake
+// failures, a corrupt or oversized frame), logging a failed write rather
 // than surfacing it — the connection is being torn down anyway.
 func (c *wireConn) writeError(payload []byte) {
-	if err := c.writeFrame(payload); err != nil {
+	err := wire.WriteFrame(c.bw, payload)
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	if err != nil {
 		c.srv.logf("server: wire error-frame write failed: %v", err)
 	}
 }
@@ -735,64 +852,25 @@ func (sc *wireScratch) jsonPayload(op byte, reqID uint64, v any) []byte {
 	return out
 }
 
-func (c *wireConn) handleCreate(sc *wireScratch, reqID uint64, body []byte) error {
-	var params CreateParams
-	if err := json.Unmarshal(body, &params); err != nil {
-		c.srv.tel.count(wireOpCreateIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, failure{CodeBadRequest, "bad request body: " + err.Error(), 0}))
-	}
-	// The tenant comes from the hello handshake, never the body — the
-	// same rule as the HTTP header.
-	params.Tenant = c.tenant
-	s, err := c.srv.mgr.Create(params)
-	var out []byte
-	if err != nil {
-		out = sc.errorPayload(reqID, classify(err, ""))
-	} else {
-		out = sc.jsonPayload(wire.OpCreateOK, reqID, CreateResponse{
-			SessionStatus: s.Status(),
-			TTLSeconds:    s.ttl.Seconds(),
-		})
-	}
-	c.srv.tel.count(wireOpCreateIdx, out[0] != wire.OpError)
-	return c.writeFrame(out)
-}
-
-func (c *wireConn) handleStatus(sc *wireScratch, reqID uint64, body []byte) error {
+func (c *wireConn) handleStatus(reqID uint64, body []byte) error {
 	id, err := wire.DecodeIDBody(body)
 	if err != nil {
 		c.srv.tel.count(wireOpStatusIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, failure{CodeBadRequest, err.Error(), 0}))
+		return wire.WriteFrame(c.bw, c.sc.errorPayload(reqID, failure{CodeBadRequest, err.Error(), 0}))
 	}
 	s, ok := c.srv.mgr.Get(string(id))
 	if !ok {
 		c.srv.tel.count(wireOpStatusIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, noSuchSession(string(id))))
+		return wire.WriteFrame(c.bw, c.sc.errorPayload(reqID, noSuchSession(string(id))))
 	}
-	out := sc.jsonPayload(wire.OpStatusOK, reqID, s.Status())
+	out := c.sc.jsonPayload(wire.OpStatusOK, reqID, s.Status())
 	c.srv.tel.count(wireOpStatusIdx, out[0] != wire.OpError)
-	return c.writeFrame(out)
+	return wire.WriteFrame(c.bw, out)
 }
 
-func (c *wireConn) handleDelete(sc *wireScratch, reqID uint64, body []byte) error {
-	id, err := wire.DecodeIDBody(body)
-	if err != nil {
-		c.srv.tel.count(wireOpDeleteIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, failure{CodeBadRequest, err.Error(), 0}))
-	}
-	if !c.srv.mgr.Delete(string(id)) {
-		c.srv.tel.count(wireOpDeleteIdx, false)
-		return c.writeFrame(sc.errorPayload(reqID, noSuchSession(string(id))))
-	}
-	out := wire.AppendHeader(sc.out[:0], wire.OpDeleteOK, reqID)
-	sc.out = out[:0]
-	c.srv.tel.count(wireOpDeleteIdx, true)
-	return c.writeFrame(out)
-}
-
-func (c *wireConn) handleMechanisms(sc *wireScratch, reqID uint64) error {
-	out := sc.jsonPayload(wire.OpMechanismsOK, reqID,
+func (c *wireConn) handleMechanisms(reqID uint64) error {
+	out := c.sc.jsonPayload(wire.OpMechanismsOK, reqID,
 		MechanismsResponse{Mechanisms: c.srv.mgr.Mechanisms()})
 	c.srv.tel.count(wireOpMechanismsIdx, out[0] != wire.OpError)
-	return c.writeFrame(out)
+	return wire.WriteFrame(c.bw, out)
 }

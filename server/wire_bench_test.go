@@ -31,7 +31,7 @@ func benchWire(b *testing.B, m *SessionManager, ids []string, sessions int, cfg 
 		i := int(next.Add(1)) * 7
 		for pb.Next() {
 			i++
-			if err := c.handleOp(c.sc, wire.OpQuery, 1, bodies[i%len(ids)]); err != nil {
+			if err := c.handleOp(wire.OpQuery, 1, bodies[i%len(ids)]); err != nil {
 				b.Error(err)
 				return
 			}

@@ -88,15 +88,20 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// WriteFrame writes payload as one length-prefixed frame to bw. The header
-// is built on the stack, so framing an already-encoded payload allocates
-// nothing.
+// WriteFrame writes payload as one length-prefixed frame to bw. The
+// uvarint header goes out byte by byte through bw's buffer, so framing an
+// already-encoded payload allocates nothing (a header array handed to
+// bw.Write would escape to the heap on every call).
 //
 //svt:hotpath
 func WriteFrame(bw *bufio.Writer, payload []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := bw.Write(hdr[:n]); err != nil {
+	n := uint64(len(payload))
+	for ; n >= 0x80; n >>= 7 {
+		if err := bw.WriteByte(byte(n) | 0x80); err != nil {
+			return err
+		}
+	}
+	if err := bw.WriteByte(byte(n)); err != nil {
 		return err
 	}
 	_, err := bw.Write(payload)

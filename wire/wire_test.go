@@ -40,17 +40,35 @@ func TestFrameRoundtrip(t *testing.T) {
 }
 
 func TestWriteFrameMatchesAppendFrame(t *testing.T) {
-	payload := bytes.Repeat([]byte{0x5a}, 513)
-	var out bytes.Buffer
-	bw := bufio.NewWriter(&out)
-	if err := WriteFrame(bw, payload); err != nil {
-		t.Fatal(err)
+	// Lengths on each side of the one-, two- and three-byte uvarint
+	// boundaries.
+	for _, n := range []int{0, 1, 127, 128, 513, 16383, 16384, 70000} {
+		payload := bytes.Repeat([]byte{0x5a}, n)
+		var out bytes.Buffer
+		bw := bufio.NewWriter(&out)
+		if err := WriteFrame(bw, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if want := AppendFrame(nil, payload); !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("WriteFrame and AppendFrame disagree on a %d-byte payload", n)
+		}
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if want := AppendFrame(nil, payload); !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("WriteFrame and AppendFrame disagree")
+}
+
+// TestWriteFrameAllocs pins WriteFrame's doc: framing an already-encoded
+// payload allocates nothing. Both ends frame every message with it.
+func TestWriteFrameAllocs(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x5a}, 300)
+	bw := bufio.NewWriterSize(io.Discard, 4096)
+	if got := testing.AllocsPerRun(100, func() {
+		if err := WriteFrame(bw, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("WriteFrame allocates %.2f/op, want 0", got)
 	}
 }
 
