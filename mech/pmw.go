@@ -54,19 +54,21 @@ func newPMW(p Params) (Instance, error) {
 	return &pmwInstance{e: e, buckets: len(p.Histogram)}, nil
 }
 
+// Validate runs the engine's own bucket check, so the duplicate check
+// exists once; only the error's prefix is mech's.
 func (m *pmwInstance) Validate(q Query) error {
 	if len(q.Buckets) == 0 {
 		return fmt.Errorf("mech: pmw query needs buckets")
 	}
-	seen := make(map[int]bool, len(q.Buckets))
-	for _, b := range q.Buckets {
-		if b < 0 || b >= m.buckets {
-			return fmt.Errorf("mech: bucket %d out of range [0,%d)", b, m.buckets)
+	if err := m.e.CheckBuckets(q.Buckets); err != nil {
+		var be *pmw.BucketError
+		if !errors.As(err, &be) {
+			return err
 		}
-		if seen[b] {
-			return fmt.Errorf("mech: duplicate bucket %d in query", b)
+		if be.Duplicate {
+			return fmt.Errorf("mech: duplicate bucket %d in query", be.Bucket)
 		}
-		seen[b] = true
+		return fmt.Errorf("mech: bucket %d out of range [0,%d)", be.Bucket, be.Buckets)
 	}
 	return nil
 }

@@ -76,6 +76,10 @@ type Engine struct {
 	updatesLeft int
 	answered    int
 	updates     int
+
+	// seen is CheckBuckets' scratch: one bit per histogram bucket, all
+	// zero between calls. It is not state, so it is never journaled.
+	seen []uint64
 }
 
 // New validates cfg and builds an engine. The synthetic histogram starts
@@ -146,6 +150,7 @@ func New(cfg Config) (*Engine, error) {
 		updateScale:    1 / (epsUpdates / float64(cfg.MaxUpdates)), // Δ=1 per release
 		epsUpdates:     epsUpdates,
 		updatesLeft:    cfg.MaxUpdates,
+		seen:           make([]uint64, (len(truth)+63)/64),
 	}, nil
 }
 
@@ -219,25 +224,68 @@ func (e *Engine) reweight(query []int, up bool) {
 }
 
 // evaluate computes the synthetic estimate and the private true answer of
-// the query, validating indices and rejecting duplicates (a duplicated
-// bucket would double-count and break the sensitivity-1 argument).
+// the query, validating it first.
 func (e *Engine) evaluate(query []int) (est, truth float64, err error) {
 	if len(query) == 0 {
 		return 0, 0, errors.New("pmw: empty query")
 	}
-	seen := make(map[int]bool, len(query))
+	if err := e.CheckBuckets(query); err != nil {
+		return 0, 0, err
+	}
 	for _, i := range query {
-		if i < 0 || i >= len(e.truth) {
-			return 0, 0, fmt.Errorf("pmw: bucket %d out of range [0,%d)", i, len(e.truth))
-		}
-		if seen[i] {
-			return 0, 0, fmt.Errorf("pmw: duplicate bucket %d in query", i)
-		}
-		seen[i] = true
 		est += e.synth[i]
 		truth += e.truth[i]
 	}
 	return est, truth, nil
+}
+
+// BucketError reports a query bucket that is out of range or repeats an
+// earlier bucket of the same query.
+type BucketError struct {
+	// Bucket is the offending index; Buckets is the histogram's size.
+	Bucket, Buckets int
+	// Duplicate is set when Bucket repeats; otherwise it is out of range.
+	Duplicate bool
+}
+
+func (b *BucketError) Error() string {
+	if b.Duplicate {
+		return fmt.Sprintf("pmw: duplicate bucket %d in query", b.Bucket)
+	}
+	return fmt.Sprintf("pmw: bucket %d out of range [0,%d)", b.Bucket, b.Buckets)
+}
+
+// CheckBuckets returns a *BucketError for the first bucket of query that
+// is out of range or repeated (a duplicated bucket would double-count and
+// break the sensitivity-1 argument), and nil when every bucket is a
+// distinct histogram index. Answer runs it on every query. It takes
+// O(len(query)) time and allocates nothing on success: it marks buckets
+// in the engine's bitset and clears them again before returning.
+func (e *Engine) CheckBuckets(query []int) error {
+	var bad *BucketError
+	n := 0
+	for ; n < len(query); n++ {
+		i := query[n]
+		if i < 0 || i >= len(e.truth) {
+			bad = &BucketError{Bucket: i, Buckets: len(e.truth)}
+			break
+		}
+		word, bit := i>>6, uint64(1)<<(i&63)
+		if e.seen[word]&bit != 0 {
+			bad = &BucketError{Bucket: i, Buckets: len(e.truth), Duplicate: true}
+			break
+		}
+		e.seen[word] |= bit
+	}
+	// Every set bit belongs to query[:n], so zeroing their words restores
+	// the all-zero bitset.
+	for _, i := range query[:n] {
+		e.seen[i>>6] = 0
+	}
+	if bad != nil {
+		return bad
+	}
+	return nil
 }
 
 // Synthetic returns a copy of the current public synthetic histogram.

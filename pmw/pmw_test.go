@@ -89,6 +89,75 @@ func TestAnswerValidation(t *testing.T) {
 	}
 }
 
+// TestAnswerBucketErrors: Answer keeps its bucket messages, reports them
+// as a *BucketError, and leaves the check's bitset clean after a refusal,
+// so a query over every bucket passes right after.
+func TestAnswerBucketErrors(t *testing.T) {
+	e := mustNew(t, baseConfig())
+	all := []int{0, 1, 2, 3, 4, 5}
+	for _, c := range []struct {
+		query []int
+		msg   string
+		dup   bool
+	}{
+		{[]int{0, 6}, "pmw: bucket 6 out of range [0,6)", false},
+		{[]int{2, 3, -1}, "pmw: bucket -1 out of range [0,6)", false},
+		{[]int{1, 3, 1}, "pmw: duplicate bucket 1 in query", true},
+	} {
+		_, err := e.Answer(c.query)
+		var be *BucketError
+		if !errors.As(err, &be) || err.Error() != c.msg || be.Duplicate != c.dup {
+			t.Errorf("%v: error %v, want %q", c.query, err, c.msg)
+		}
+		if _, err := e.Answer(all); err != nil && !errors.Is(err, ErrExhausted) {
+			t.Fatalf("query over every bucket after %v: %v", c.query, err)
+		}
+	}
+}
+
+// TestQuickCheckBucketsMatchesMap: the bitset check reports exactly what a
+// map of seen buckets would, over histograms spanning several words.
+func TestQuickCheckBucketsMatchesMap(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Histogram = make([]float64, 130)
+	for i := range cfg.Histogram {
+		cfg.Histogram[i] = 1
+	}
+	e := mustNew(t, cfg)
+	f := func(raw []int16) bool {
+		query := make([]int, len(raw))
+		for i, v := range raw {
+			query[i] = int(v) % 140 // mostly in range, some past it or negative
+		}
+		var want error
+		seen := make(map[int]bool)
+		for _, b := range query {
+			if b < 0 || b >= 130 {
+				want = &BucketError{Bucket: b, Buckets: 130}
+				break
+			}
+			if seen[b] {
+				want = &BucketError{Bucket: b, Buckets: 130, Duplicate: true}
+				break
+			}
+			seen[b] = true
+		}
+		got := e.CheckBuckets(query)
+		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+			return false
+		}
+		for _, w := range e.seen {
+			if w != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEasyQueriesAreFree(t *testing.T) {
 	// The whole-domain query always has synthetic estimate == truth
 	// (both equal total mass), so it should essentially always be free.

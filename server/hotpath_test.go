@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -110,19 +111,26 @@ func TestEncodeFailuresCounted(t *testing.T) {
 // is the SERVER's allocation budget, not the harness's.
 func queryAllocs(t *testing.T, m *SessionManager, cfg APIConfig) float64 {
 	t.Helper()
-	api := NewAPI(m, cfg)
-	s, err := m.Create(CreateParams{
+	return postAllocs(t, m, cfg, CreateParams{
 		Mechanism: MechSparse, Epsilon: 1, MaxPositives: 1 << 30, Threshold: ptr(1e12),
-	})
+	}, []byte(`{"query":1}`))
+}
+
+// postAllocs creates a session from p and measures the steady-state
+// allocations of one /query POST of body to it through ServeHTTP.
+func postAllocs(t *testing.T, m *SessionManager, cfg APIConfig, p CreateParams, body []byte) float64 {
+	t.Helper()
+	api := NewAPI(m, cfg)
+	s, err := m.Create(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := &replayBody{data: []byte(`{"query":1}`)}
-	req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+s.ID()+"/query", body)
+	rb := &replayBody{data: body}
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+s.ID()+"/query", rb)
 	w := &nullResponseWriter{h: make(http.Header)}
 	run := func() {
-		body.off = 0
-		req.Body = body
+		rb.off = 0
+		req.Body = rb
 		w.code = 0
 		api.ServeHTTP(w, req)
 		if w.code != http.StatusOK {
@@ -135,13 +143,13 @@ func queryAllocs(t *testing.T, m *SessionManager, cfg APIConfig) float64 {
 
 // TestQueryHotPathAllocs pins the allocation budget of the single-query
 // HTTP path. The seed (PR 4) spent ~20 server-side allocations per
-// request before pooling; the pin fails if the path regresses past half
-// of that, with a little headroom over the ~8 measured today.
+// request before pooling; the hand-rolled body decoder took it from 10
+// to the 5 measured today, and the pin leaves one of headroom.
 func TestQueryHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomly drops Puts under the race detector, inflating alloc counts; CI pins this in a non-race pass")
 	}
-	const budget = 10
+	const budget = 6
 	t.Run("mem", func(t *testing.T) {
 		m := NewSessionManager(ManagerConfig{SweepInterval: time.Hour})
 		defer m.Close()
@@ -229,6 +237,69 @@ func TestQueryHotPathAllocs(t *testing.T) {
 			t.Fatalf("traced-not-sampled single-query WAL path allocates %.1f/op, budget %d", got, budget)
 		}
 	})
+}
+
+// TestBatchQueryAllocs pins the batch paths at a fixed number of
+// allocations per request, whatever the batch size: the body decodes into
+// pooled arenas and pmw checks buckets in its engine's bitset. Before
+// both, the SVT batch spent 19 and the pmw batch 787.
+func TestBatchQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool randomly drops Puts under the race detector, inflating alloc counts; CI pins this in a non-race pass")
+	}
+	const budget = 6
+	// The SVT batch without per-query thresholds is svtperf's shape; with
+	// them, every item also takes a threshold pointer into the arena
+	// (83 allocations before).
+	for _, c := range []struct{ name, item string }{
+		{"svt-64", `{"query":1},`},
+		{"svt-64-thresholds", `{"query":1,"threshold":1e12},`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewSessionManager(ManagerConfig{SweepInterval: time.Hour})
+			defer m.Close()
+			body := `{"queries":[` + strings.TrimSuffix(strings.Repeat(c.item, 64), ",") + `]}`
+			got := postAllocs(t, m, APIConfig{}, CreateParams{
+				Mechanism: MechSparse, Epsilon: 1, MaxPositives: 1 << 30, Threshold: ptr(1e12),
+			}, []byte(body))
+			if got > budget {
+				t.Fatalf("64-query SVT batch allocates %.1f/request, budget %d", got, budget)
+			}
+		})
+	}
+	t.Run("pmw-64x32", func(t *testing.T) {
+		m := NewSessionManager(ManagerConfig{SweepInterval: time.Hour})
+		defer m.Close()
+		hist := make([]float64, 4096)
+		for i := range hist {
+			hist[i] = 10
+		}
+		got := postAllocs(t, m, APIConfig{}, CreateParams{
+			Mechanism: MechPMW, Epsilon: 1, MaxPositives: 8, Threshold: ptr(50), Histogram: hist,
+		}, pmwBatchBody(64, 32))
+		if got > budget {
+			t.Fatalf("64x32-bucket pmw batch allocates %.1f/request, budget %d", got, budget)
+		}
+	})
+}
+
+// pmwBatchBody is a batch of n pmw queries of k distinct buckets each.
+func pmwBatchBody(n, k int) []byte {
+	b := []byte(`{"queries":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"buckets":[`...)
+		for j := 0; j < k; j++ {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(i+j*64), 10)
+		}
+		b = append(b, "]}"...)
+	}
+	return append(b, "]}"...)
 }
 
 // TestGroupCommitJournalBeforeResponse: under concurrent load on a

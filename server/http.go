@@ -288,8 +288,8 @@ func (a *API) bodyFailure(err error) failure {
 }
 
 // decodeBody decodes one JSON value, enforcing the body-size cap and
-// rejecting trailing garbage. It writes the error response itself and
-// reports success.
+// rejecting anything but whitespace after it. It writes the error
+// response itself and reports success.
 func (a *API) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, a.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
@@ -297,8 +297,15 @@ func (a *API) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		a.writeError(w, a.bodyFailure(err))
 		return false
 	}
-	if dec.More() {
-		a.writeError(w, failure{CodeBadRequest, "trailing data after JSON body", 0})
+	// More would miss a stray '}' or ']': it reports false before a
+	// closing delimiter. Only io.EOF proves nothing follows.
+	if _, err := dec.Token(); err != io.EOF {
+		f := failure{CodeBadRequest, "trailing data after JSON body", 0}
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			f = a.bodyFailure(err)
+		}
+		a.writeError(w, f)
 		return false
 	}
 	return true
@@ -374,12 +381,19 @@ type queryRequest struct {
 
 // queryScratch is the per-request working set of the /query hot path,
 // recycled through queryPool so the steady state allocates neither request
-// buffers, decoded requests, result slices nor response buffers.
+// buffers, decoded items, result slices nor response buffers, whatever
+// the batch size. decode fills the three arenas: items (the top-level
+// object's own query first, then a batch's), their thresholds and their
+// buckets. req is the decode target of json.Unmarshal for any body not in
+// the canonical shape. A pooled scratch holds at most MaxBatch+1 items;
+// the bucket arena, like buf, is bounded by the body cap.
 type queryScratch struct {
-	req  queryRequest
-	one  [1]QueryItem
-	buf  []byte // body read, then reused for the response encode
-	call queryCall
+	req        queryRequest
+	items      []QueryItem
+	thresholds []float64
+	buckets    []int
+	buf        []byte // body read, then reused for the response encode
+	call       queryCall
 }
 
 var queryPool = sync.Pool{New: func() any {
@@ -407,8 +421,8 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 }
 
 // handleQuery is the HTTP edge of the query pipeline: pooled scratch in,
-// one json.Unmarshal of the raw body (no Decoder allocation; Unmarshal
-// rejects trailing garbage by itself), the pipeline, and a hand-rolled
+// the body decoded into the scratch's arenas (by hand for the canonical
+// shape, by json.Unmarshal otherwise), the pipeline, and a hand-rolled
 // response encode into a recycled buffer.
 //
 //svt:hotpath
@@ -420,6 +434,7 @@ func (a *API) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sc := queryPool.Get().(*queryScratch)
 	defer func() {
 		sc.req = queryRequest{} // drop decoded pointers; keeps nothing alive
+		clear(sc.items)
 		sc.call.reset()
 		queryPool.Put(sc)
 	}()
@@ -441,17 +456,13 @@ func (a *API) handleQuery(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, a.cfg.MaxBodyBytes)
 	body, err := readBody(r.Body, sc.buf[:0])
 	sc.buf = body[:0]
+	var items []QueryItem
 	if err == nil {
-		err = json.Unmarshal(body, &sc.req)
+		items, err = sc.decode(body, a.cfg.MaxBatch)
 	}
 	if err != nil {
 		a.writeError(w, a.bodyFailure(err))
 		return
-	}
-	items := sc.req.Queries
-	if items == nil {
-		sc.one[0] = sc.req.QueryItem
-		items = sc.one[:]
 	}
 	res, f := a.queries.run(q, r.PathValue("id"), items)
 	if f.code != "" {
