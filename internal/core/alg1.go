@@ -18,12 +18,9 @@ import "github.com/dpgo/svt/internal/rng"
 // Its two improvements over the Dwork-Roth book version (Alg2) are that the
 // threshold noise ρ does not scale with c and is never resampled.
 type Alg1 struct {
-	src        *rng.Source
+	run
 	rho        float64 // fixed noisy-threshold offset, Lap(Δ/ε₁)
 	queryScale float64 // 2cΔ/ε₂
-	c          int
-	count      int
-	halted     bool
 }
 
 // NewAlg1 prepares Algorithm 1 with total budget epsilon, query sensitivity
@@ -35,10 +32,9 @@ func NewAlg1(src *rng.Source, epsilon, delta float64, c int) *Alg1 {
 	eps1 := epsilon / 2
 	eps2 := epsilon - eps1
 	return &Alg1{
-		src:        src,
+		run:        run{src: src, c: c},
 		rho:        src.Laplace(delta / eps1),
 		queryScale: 2 * float64(c) * delta / eps2,
-		c:          c,
 	}
 }
 
@@ -48,31 +44,7 @@ func (a *Alg1) Next(q, threshold float64) (Answer, bool) {
 		return Answer{}, false
 	}
 	nu := a.src.Laplace(a.queryScale)
-	if q+nu >= threshold+a.rho {
-		a.count++
-		if a.count >= a.c {
-			a.halted = true
-		}
-		return Answer{Above: true}, true
-	}
-	return Answer{}, true
+	above := q+nu >= threshold+a.rho
+	a.record(above)
+	return Answer{Above: above}, true
 }
-
-// Halted implements Algorithm.
-func (a *Alg1) Halted() bool { return a.halted }
-
-// Restore fast-forwards the positive-outcome count to n for crash
-// recovery; see Alg7.Restore. It panics unless 0 ≤ n ≤ c.
-func (a *Alg1) Restore(n int) {
-	if n < 0 || n > a.c {
-		panic("core: Alg1.Restore count out of range")
-	}
-	a.count = n
-	a.halted = n >= a.c
-}
-
-// Draws returns the source's stream position; see Alg7.Draws.
-func (a *Alg1) Draws() uint64 { return a.src.Draws() }
-
-// Skip advances the source by n draws; see rng.Source.Skip.
-func (a *Alg1) Skip(n uint64) { a.src.Skip(n) }

@@ -21,13 +21,10 @@ import "github.com/dpgo/svt/internal/rng"
 // Lap(2cΔ/ε₂); the resampling on Line 6 switches the ρ scale to cΔ/ε₂,
 // which is the same number too.)
 type Alg2 struct {
-	src        *rng.Source
+	run
 	rho        float64
 	rhoScale2  float64 // cΔ/ε₂, used when resampling after a ⊤
 	queryScale float64 // 2cΔ/ε₁
-	c          int
-	count      int
-	halted     bool
 }
 
 // NewAlg2 prepares the Dwork-Roth book SVT.
@@ -38,11 +35,10 @@ func NewAlg2(src *rng.Source, epsilon, delta float64, c int) *Alg2 {
 	eps2 := epsilon - eps1
 	cf := float64(c)
 	return &Alg2{
-		src:        src,
+		run:        run{src: src, c: c},
 		rho:        src.Laplace(cf * delta / eps1),
 		rhoScale2:  cf * delta / eps2,
 		queryScale: 2 * cf * delta / eps1,
-		c:          c,
 	}
 }
 
@@ -52,35 +48,13 @@ func (a *Alg2) Next(q, threshold float64) (Answer, bool) {
 		return Answer{}, false
 	}
 	nu := a.src.Laplace(a.queryScale)
-	if q+nu >= threshold+a.rho {
+	above := q+nu >= threshold+a.rho
+	if above {
 		a.rho = a.src.Laplace(a.rhoScale2) // Line 6: refresh the noisy threshold
-		a.count++
-		if a.count >= a.c {
-			a.halted = true
-		}
-		return Answer{Above: true}, true
 	}
-	return Answer{}, true
+	a.record(above)
+	return Answer{Above: above}, true
 }
-
-// Halted implements Algorithm.
-func (a *Alg2) Halted() bool { return a.halted }
-
-// Restore fast-forwards the positive-outcome count to n for crash
-// recovery; see Alg7.Restore. It panics unless 0 ≤ n ≤ c.
-func (a *Alg2) Restore(n int) {
-	if n < 0 || n > a.c {
-		panic("core: Alg2.Restore count out of range")
-	}
-	a.count = n
-	a.halted = n >= a.c
-}
-
-// Draws returns the source's stream position; see Alg7.Draws.
-func (a *Alg2) Draws() uint64 { return a.src.Draws() }
-
-// Skip advances the source by n draws; see rng.Source.Skip.
-func (a *Alg2) Skip(n uint64) { a.src.Skip(n) }
 
 // Rho returns the current noisy-threshold offset ρ. Unlike Alg1 and Alg7,
 // Alg2 resamples ρ after every positive outcome (Line 6), so the current

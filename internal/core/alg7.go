@@ -28,13 +28,10 @@ import "github.com/dpgo/svt/internal/rng"
 //	10:  else
 //	11:    output aᵢ = ⊥
 type Alg7 struct {
-	src         *rng.Source
+	run
 	rho         float64
 	queryScale  float64 // 2cΔ/ε₂ (cΔ/ε₂ when monotonic)
 	answerScale float64 // cΔ/ε₃; 0 disables numeric answers
-	c           int
-	count       int
-	halted      bool
 }
 
 // Alg7Config carries the inputs of Algorithm 7.
@@ -78,10 +75,9 @@ func NewAlg7(src *rng.Source, cfg Alg7Config) *Alg7 {
 		factor = cf
 	}
 	a := &Alg7{
-		src:        src,
+		run:        run{src: src, c: cfg.C},
 		rho:        src.Laplace(cfg.Delta / cfg.Eps1),
 		queryScale: factor * cfg.Delta / cfg.Eps2,
-		c:          cfg.C,
 	}
 	if cfg.Eps3 > 0 {
 		a.answerScale = cf * cfg.Delta / cfg.Eps3
@@ -95,47 +91,12 @@ func (a *Alg7) Next(q, threshold float64) (Answer, bool) {
 		return Answer{}, false
 	}
 	nu := a.src.Laplace(a.queryScale)
-	if q+nu >= threshold+a.rho {
-		a.count++
-		if a.count >= a.c {
-			a.halted = true
-		}
-		if a.answerScale > 0 {
-			// Second phase (Theorem 4): an independent Laplace mechanism
-			// releases the count for queries found above the threshold.
-			return Answer{Above: true, Numeric: true, Value: q + a.src.Laplace(a.answerScale)}, true
-		}
-		return Answer{Above: true}, true
+	above := q+nu >= threshold+a.rho
+	a.record(above)
+	if above && a.answerScale > 0 {
+		// Second phase (Theorem 4): an independent Laplace mechanism
+		// releases the count for queries found above the threshold.
+		return Answer{Above: true, Numeric: true, Value: q + a.src.Laplace(a.answerScale)}, true
 	}
-	return Answer{}, true
+	return Answer{Above: above}, true
 }
-
-// Halted implements Algorithm.
-func (a *Alg7) Halted() bool { return a.halted }
-
-// Remaining returns how many more positive outcomes the machine may emit.
-func (a *Alg7) Remaining() int { return a.c - a.count }
-
-// Restore fast-forwards the positive-outcome count to n, re-arming the halt
-// flag when n ≥ c. It exists for crash recovery: a server that journaled n
-// consumed positives rebuilds the mechanism and restores the budget
-// accounting so the interaction cannot release more than c positives in
-// total across the restart. The noise stream is NOT restored — a recovered
-// mechanism draws fresh noise — so only the accounting moves forward.
-// It panics unless 0 ≤ n ≤ c, mirroring the package's precondition style.
-func (a *Alg7) Restore(n int) {
-	if n < 0 || n > a.c {
-		panic("core: Alg7.Restore count out of range")
-	}
-	a.count = n
-	a.halted = n >= a.c
-}
-
-// Draws returns the source's stream position (Uint64 values consumed,
-// including the ones drawing ρ at construction). Crash recovery journals it
-// so a seeded mechanism can be fast-forwarded instead of replayed.
-func (a *Alg7) Draws() uint64 { return a.src.Draws() }
-
-// Skip advances the source by n draws without using their values; see
-// rng.Source.Skip.
-func (a *Alg7) Skip(n uint64) { a.src.Skip(n) }

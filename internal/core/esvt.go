@@ -31,12 +31,9 @@ import "github.com/dpgo/svt/internal/rng"
 //	7:   else
 //	8:     output aᵢ = ⊥
 type ESVT struct {
-	src        *rng.Source
+	run
 	rho        float64 // fixed noisy-threshold offset, Exp(Δ/ε₁) − Δ/ε₁
 	queryScale float64 // mcΔ/ε₂
-	c          int
-	count      int
-	halted     bool
 }
 
 // ESVTConfig carries the inputs of the exponential-noise SVT.
@@ -75,10 +72,9 @@ func NewESVT(src *rng.Source, cfg ESVTConfig) *ESVT {
 	}
 	b1 := cfg.Delta / cfg.Eps1
 	return &ESVT{
-		src:        src,
+		run:        run{src: src, c: cfg.C},
 		rho:        src.Exponential(b1) - b1,
 		queryScale: factor * cfg.Delta / cfg.Eps2,
-		c:          cfg.C,
 	}
 }
 
@@ -88,34 +84,7 @@ func (a *ESVT) Next(q, threshold float64) (Answer, bool) {
 		return Answer{}, false
 	}
 	nu := a.src.Exponential(a.queryScale) - a.queryScale
-	if q+nu >= threshold+a.rho {
-		a.count++
-		if a.count >= a.c {
-			a.halted = true
-		}
-		return Answer{Above: true}, true
-	}
-	return Answer{}, true
+	above := q+nu >= threshold+a.rho
+	a.record(above)
+	return Answer{Above: above}, true
 }
-
-// Halted implements Algorithm.
-func (a *ESVT) Halted() bool { return a.halted }
-
-// Remaining returns how many more positive outcomes the machine may emit.
-func (a *ESVT) Remaining() int { return a.c - a.count }
-
-// Restore fast-forwards the positive-outcome count to n for crash
-// recovery; see Alg7.Restore. It panics unless 0 ≤ n ≤ c.
-func (a *ESVT) Restore(n int) {
-	if n < 0 || n > a.c {
-		panic("core: ESVT.Restore count out of range")
-	}
-	a.count = n
-	a.halted = n >= a.c
-}
-
-// Draws returns the source's stream position; see Alg7.Draws.
-func (a *ESVT) Draws() uint64 { return a.src.Draws() }
-
-// Skip advances the source by n draws; see rng.Source.Skip.
-func (a *ESVT) Skip(n uint64) { a.src.Skip(n) }

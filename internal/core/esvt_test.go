@@ -42,7 +42,9 @@ func TestESVTRestoreAndSkip(t *testing.T) {
 	if alg.Draws() == 0 {
 		t.Fatal("construction drew no threshold noise")
 	}
-	alg.Restore(4)
+	if err := alg.Restore(4, 4); err != nil {
+		t.Fatal(err)
+	}
 	if !alg.Halted() || alg.Remaining() != 0 {
 		t.Fatalf("restored-to-cutoff: halted=%v remaining=%d", alg.Halted(), alg.Remaining())
 	}
@@ -51,9 +53,10 @@ func TestESVTRestoreAndSkip(t *testing.T) {
 	// value.
 	x, y := NewESVT(rng.New(3), ESVTConfig{Eps1: 0.5, Eps2: 0.5, Delta: 1, C: 4}),
 		NewESVT(rng.New(3), ESVTConfig{Eps1: 0.5, Eps2: 0.5, Delta: 1, C: 4})
-	before := x.Draws()
 	x.Next(0, 0)
-	y.Skip(x.Draws() - before)
+	if err := y.FastForward(x.Draws()); err != nil {
+		t.Fatal(err)
+	}
 	if x.Draws() != y.Draws() {
 		t.Fatalf("skip landed at %d, want %d", y.Draws(), x.Draws())
 	}

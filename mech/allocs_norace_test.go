@@ -36,3 +36,25 @@ func TestPMWCheckAllocs(t *testing.T) {
 		t.Errorf("pmw Answer allocates %.2f/op, want 0", got)
 	}
 }
+
+// TestSVTAnswerAllocs pins the SVT family's served path at zero
+// allocations: Validate and Answer go straight to the core machine.
+func TestSVTAnswerAllocs(t *testing.T) {
+	for _, name := range []string{"sparse", "esvt", "proposed", "dpbook"} {
+		inst, err := Default.New(name, Params{Epsilon: 1, MaxPositives: 1 << 30, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := Query{Value: 0.5, Threshold: 0}
+		if got := testing.AllocsPerRun(200, func() {
+			if err := inst.Validate(q); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := inst.Answer(q); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s Validate+Answer allocates %.2f/op, want 0", name, got)
+		}
+	}
+}

@@ -195,6 +195,19 @@ func TestConformanceRestoreKeepsHalted(t *testing.T) {
 					t.Errorf("Restore(%d, %d) accepted", c[0], c[1])
 				}
 			}
+
+			// A used instance must refuse Restore: accepting it would
+			// refresh the budget it has already spent.
+			used := mustNew(t, f, p)
+			if _, _, err := used.Answer(sureSpend(f)); err != nil {
+				t.Fatal(err)
+			}
+			if err := used.Restore(0, 0); err == nil {
+				t.Error("Restore(0, 0) on a used instance accepted")
+			}
+			if used.Remaining() != p.MaxPositives-1 {
+				t.Errorf("remaining %d after one spend and a refused Restore, want %d", used.Remaining(), p.MaxPositives-1)
+			}
 		})
 	}
 }
@@ -296,9 +309,15 @@ func TestConformanceStateRoundTrip(t *testing.T) {
 			twin := mustNew(t, f, p)
 			if len(state) == 0 {
 				// Nothing evolving to journal: the no-state contract is that
-				// an empty blob installs as a no-op.
+				// an empty blob installs as a no-op, and any other blob is
+				// refused rather than silently dropped.
 				if err := twin.UnmarshalState(nil); err != nil {
 					t.Fatalf("empty state rejected: %v", err)
+				}
+				if twin.MarshalState() == nil {
+					if err := twin.UnmarshalState(RhoStateBlob(1)); err == nil {
+						t.Fatal("a mechanism with no evolving state accepted a ρ blob")
+					}
 				}
 				return
 			}

@@ -1,6 +1,6 @@
-// Package mech is the pluggable mechanism layer between the repo's SVT
-// mechanism implementations (svt.Sparse, the variants streams, pmw.Engine,
-// and new additions) and the multi-tenant session server.
+// Package mech is the pluggable mechanism layer between the repo's
+// mechanism implementations (the SVT family's machines in internal/core,
+// pmw.Engine, and new additions) and the multi-tenant session server.
 //
 // The paper's whole point is that SVT is a *family* of mechanisms
 // distinguished by small structural choices, and the family keeps growing
@@ -8,8 +8,12 @@
 // This package turns that observation into an architecture: every servable
 // mechanism is an Instance built by a Factory looked up in a Registry, and
 // the server holds exactly one Instance per session — no per-kind dispatch
-// anywhere above this seam. Adding a mechanism is one file that registers a
-// Factory; the server, its journal codec, its discovery endpoint and its
+// anywhere above this seam. The SVT members (sparse, esvt, proposed,
+// dpbook) share one adapter in svt.go, over the run state their core
+// machines share, so adding one is a registration: a summary, capability
+// flags and a constructor. A mechanism with a different shape (pmw, with
+// two noise streams and a histogram) is one file with its own Instance.
+// Either way the server, its journal codec, its discovery endpoint and its
 // per-mechanism counters pick it up without modification.
 package mech
 
@@ -192,53 +196,4 @@ func syntheticFromState(data []byte, buckets int) ([]float64, error) {
 		hist[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 	}
 	return hist, nil
-}
-
-// ---- Shared validation helpers for threshold (SVT-family) mechanisms ----
-
-// validateThresholdQuery is the common Validate of every SVT-family
-// mechanism: no buckets, a present and finite threshold, a finite value.
-func validateThresholdQuery(q Query) error {
-	if len(q.Buckets) > 0 {
-		return fmt.Errorf("mech: buckets are only valid for histogram mechanisms")
-	}
-	if math.IsNaN(q.Threshold) {
-		return fmt.Errorf("mech: no threshold: session has no default and the query carries none")
-	}
-	if math.IsNaN(q.Value) || math.IsInf(q.Value, 0) || math.IsInf(q.Threshold, 0) {
-		return fmt.Errorf("mech: query and threshold must be finite, got %v and %v", q.Value, q.Threshold)
-	}
-	return nil
-}
-
-// rejectHistogramParams fails when histogram-mediator-only knobs are set on
-// a threshold mechanism.
-func rejectHistogramParams(name string, p Params) error {
-	if len(p.Histogram) > 0 {
-		return fmt.Errorf("mech: histogram is not valid for %s sessions", name)
-	}
-	if isSet(p.UpdateFraction) || isSet(p.LearningRate) {
-		return fmt.Errorf("mech: updateFraction/learningRate are not valid for %s sessions", name)
-	}
-	return nil
-}
-
-// restoreChecks is the generic part of every Restore implementation.
-func restoreChecks(answered, positives, cutoff int) error {
-	if positives < 0 || answered < positives {
-		return fmt.Errorf("mech: restored counters answered=%d positives=%d are inconsistent", answered, positives)
-	}
-	if positives > cutoff {
-		return fmt.Errorf("mech: restored positives %d exceed the cutoff %d", positives, cutoff)
-	}
-	return nil
-}
-
-// singleStreamAux rejects a non-zero auxiliary stream position for
-// mechanisms with one noise stream.
-func singleStreamAux(name string, aux uint64) error {
-	if aux != 0 {
-		return fmt.Errorf("mech: %s has a single noise stream, cannot fast-forward aux stream to %d", name, aux)
-	}
-	return nil
 }

@@ -1,6 +1,8 @@
 package mech
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -99,6 +101,63 @@ func TestFactoriesValidateTheirOwnParams(t *testing.T) {
 	for i, tc := range good {
 		if _, err := Default.New(tc.name, tc.p); err != nil {
 			t.Errorf("good case %d: %s rejected %+v: %v", i, tc.name, tc.p, err)
+		}
+	}
+}
+
+// TestSVTCreateValidation runs one table of invalid and optional create
+// parameters against every SVT mechanism. The accept or reject decisions
+// are the ones each mechanism made before the family shared one adapter;
+// the messages are the one shape they now share.
+func TestSVTCreateValidation(t *testing.T) {
+	const (
+		noNumeric   = "mech: %s does not support ε₃ numeric releases (use sparse)"
+		noMonotonic = "mech: %s does not support the monotonic refinement (use sparse)"
+	)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, row := range []struct {
+		name string
+		edit func(*Params)
+		// msg is the error of every mechanism not in other, with %s its
+		// name; other holds the mechanisms whose outcome differs, "" for
+		// an accept.
+		msg   string
+		other map[string]string
+	}{
+		{"epsilon=0", func(p *Params) { p.Epsilon = 0 }, "mech: %s epsilon must be positive and finite, got 0", nil},
+		{"epsilon=-1", func(p *Params) { p.Epsilon = -1 }, "mech: %s epsilon must be positive and finite, got -1", nil},
+		{"epsilon=+Inf", func(p *Params) { p.Epsilon = inf }, "mech: %s epsilon must be positive and finite, got +Inf", nil},
+		{"epsilon=NaN", func(p *Params) { p.Epsilon = nan }, "mech: %s epsilon must be positive and finite, got NaN", nil},
+		{"sensitivity=-1", func(p *Params) { p.Sensitivity = -1 }, "mech: %s sensitivity must be positive and finite, got -1", nil},
+		{"sensitivity=NaN", func(p *Params) { p.Sensitivity = nan }, "mech: %s sensitivity must be positive and finite, got NaN", nil},
+		{"sensitivity=+Inf", func(p *Params) { p.Sensitivity = inf }, "mech: %s sensitivity must be positive and finite, got +Inf", nil},
+		{"maxPositives=0", func(p *Params) { p.MaxPositives = 0 }, "mech: %s maxPositives must be positive, got 0", nil},
+		{"maxPositives=-1", func(p *Params) { p.MaxPositives = -1 }, "mech: %s maxPositives must be positive, got -1", nil},
+		{"answerFraction=-0.5", func(p *Params) { p.AnswerFraction = -0.5 }, noNumeric,
+			map[string]string{"sparse": "mech: sparse answerFraction must be in [0, 1), got -0.5"}},
+		{"answerFraction=1", func(p *Params) { p.AnswerFraction = 1 }, noNumeric,
+			map[string]string{"sparse": "mech: sparse answerFraction must be in [0, 1), got 1"}},
+		{"answerFraction=NaN", func(p *Params) { p.AnswerFraction = nan }, noNumeric,
+			map[string]string{"sparse": "mech: sparse answerFraction must be in [0, 1), got NaN"}},
+		{"answerFraction=0.3", func(p *Params) { p.AnswerFraction = 0.3 }, noNumeric, map[string]string{"sparse": ""}},
+		{"monotonic", func(p *Params) { p.Monotonic = true }, noMonotonic, map[string]string{"sparse": "", "esvt": ""}},
+		{"histogram", func(p *Params) { p.Histogram = []float64{1, 2} }, "mech: histogram is not valid for %s sessions", nil},
+		{"learningRate", func(p *Params) { p.LearningRate = 0.5 }, "mech: updateFraction/learningRate are not valid for %s sessions", nil},
+	} {
+		for _, name := range []string{"sparse", "esvt", "proposed", "dpbook"} {
+			p := Params{Epsilon: 1, MaxPositives: 4, Seed: 1}
+			row.edit(&p)
+			want, ok := row.other[name]
+			if !ok {
+				want = fmt.Sprintf(row.msg, name)
+			}
+			_, err := Default.New(name, p)
+			switch {
+			case want == "" && err != nil:
+				t.Errorf("%s %s: rejected: %v", name, row.name, err)
+			case want != "" && (err == nil || err.Error() != want):
+				t.Errorf("%s %s: got %v, want %q", name, row.name, err, want)
+			}
 		}
 	}
 }

@@ -312,9 +312,11 @@ func (e *Engine) Exhausted() bool { return e.gate.Halted() }
 // updates real-data accesses already consumed. The SVT gate is restored
 // alongside, so the interaction cannot access the real data more than
 // MaxUpdates times in total across the restart. Two things are deliberately
-// NOT restored: the noise streams (a recovered engine draws fresh noise)
-// and the learned synthetic histogram, which restarts from the uniform
-// prior — an accuracy regression, never a privacy one.
+// NOT restored here: the learned synthetic histogram (RestoreSynthetic;
+// left at the uniform prior it costs accuracy, never privacy) and the noise
+// streams (FastForward). Fresh noise is not free: an engine rebuilt without
+// its Seed draws a fresh gate threshold ρ, and Theorem 4's proof uses one ρ
+// per run, so after k such restarts the gate's ε₁ is spent k+1 times.
 func (e *Engine) Restore(answered, updates int) error {
 	if e.answered != 0 || e.updates != 0 {
 		return errors.New("pmw: Restore requires a freshly constructed engine")

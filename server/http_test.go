@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -205,6 +208,17 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("non-private mechanism: %d", code)
 	}
 
+	// Invalid ε → 400 with the mechanism's own message.
+	resp, err = http.Post(srv.URL+"/v1/sessions", "application/json",
+		strings.NewReader(`{"mechanism":"sparse","epsilon":0,"maxPositives":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eb := readErr(resp); resp.StatusCode != http.StatusBadRequest || eb.Error.Code != CodeBadRequest ||
+		eb.Error.Message != "mech: sparse epsilon must be positive and finite, got 0" {
+		t.Errorf("epsilon 0: %d %+v", resp.StatusCode, eb)
+	}
+
 	// Oversized body → 413.
 	big := strings.NewReader(`{"mechanism":"sparse","pad":"` + strings.Repeat("x", 8192) + `"}`)
 	resp, err = http.Post(srv.URL+"/v1/sessions", "application/json", big)
@@ -325,9 +339,24 @@ func TestHTTPConcurrentSessions(t *testing.T) {
 // capability flags, and the endpoint is read-only.
 func TestHTTPMechanismsDiscovery(t *testing.T) {
 	srv, mgr := newTestAPI(t, ManagerConfig{}, APIConfig{})
+	raw, err := http.Get(srv.URL + "/v1/mechanisms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(raw.Body)
+	raw.Body.Close()
+	if err != nil || raw.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, read error %v", raw.StatusCode, err)
+	}
+	// The exact listing — names, summaries, flags and their order — as
+	// served before the SVT family shared one mech adapter.
+	const wantBody = "7e52fb5de2708919129791ad0cbfa169ca1095953724d2f8412cd46a0ce2f606"
+	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != wantBody {
+		t.Errorf("GET /v1/mechanisms body changed (sha256 %x):\n%s", sum, body)
+	}
 	var resp MechanismsResponse
-	if code := doJSON(t, http.MethodGet, srv.URL+"/v1/mechanisms", nil, &resp); code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
 	}
 	if len(resp.Mechanisms) != len(mgr.Mechanisms()) || len(resp.Mechanisms) < 5 {
 		t.Fatalf("got %d mechanisms, want the registry's %d (≥5 built-ins)", len(resp.Mechanisms), len(mgr.Mechanisms()))
@@ -343,10 +372,11 @@ func TestHTTPMechanismsDiscovery(t *testing.T) {
 		}
 	}
 	checks := map[string]MechanismInfo{
-		"sparse": {NumericReleases: true, MonotonicRefinement: true, Seedable: true},
-		"esvt":   {MonotonicRefinement: true, Seedable: true},
-		"pmw":    {NumericReleases: true, Seedable: true, NeedsHistogram: true},
-		"dpbook": {Seedable: true},
+		"sparse":   {NumericReleases: true, MonotonicRefinement: true, Seedable: true},
+		"esvt":     {MonotonicRefinement: true, Seedable: true},
+		"pmw":      {NumericReleases: true, Seedable: true, NeedsHistogram: true},
+		"dpbook":   {Seedable: true},
+		"proposed": {Seedable: true},
 	}
 	for name, want := range checks {
 		got, ok := byName[name]

@@ -9,6 +9,11 @@ package server
 // and never re-emits one the analyst may already have observed.
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"github.com/dpgo/svt/mech"
@@ -142,6 +147,69 @@ func TestSeededSessionReplayBitIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSeededJournalBytesPinned pins, for every mechanism, the progress
+// events a seeded session journals across a crash and WAL recovery, and
+// the answers it releases, to SHA-256 hashes recorded before the SVT
+// family shared one mech adapter: a WAL written by an older build must
+// recover into the same stream, so these bytes are a compatibility
+// surface, not an implementation detail.
+func TestSeededJournalBytesPinned(t *testing.T) {
+	want := map[Mechanism]struct{ journal, answers string }{
+		"dpbook":   {"b4bc68c4fc6ce911e4a64158866e8ec76d785e149fda3243385e7aca5c3528d5", "21f1f93bae8bfc2f83189c402cd36931d4357c19971b0e97f404379f29d9f9b6"},
+		"esvt":     {"84642937ba0484dd13020842489543c16aef9927d560c475c457c950f42501e7", "e3b052c6c2a085636361e01f5cd115b715b5009f5ac73abf9b0296d94ce13e57"},
+		"pmw":      {"2577816d13cf9da12b1c03ac84e1a873c6f7d3de49ce445452d652272aa55168", "7a96461e4440a59e90ba88b959ff65307a9416922aa1d9feb7d52ccd3fa18e3d"},
+		"proposed": {"124608641dc1a55efe9e85b3174625a1d1e49a192effd9fb098eb49551b1de28", "f59872f10e63ad998f48626c4eed8db3c9e500d4bca9e716f249e4200b475f6e"},
+		"sparse":   {"374c7bff619e6a0bc7005d73dc7b33feae50e6ec12a876c5511b2eda499cc2d6", "732e2b8f1518b85a0df0fb4330dc7ee8196e134cbfa17df6dcbc6463c96c2826"},
+	}
+	const n, kill = 40, 15
+	for _, mech := range replayMechanisms() {
+		t.Run(string(mech), func(t *testing.T) {
+			w, ok := want[mech]
+			if !ok {
+				t.Fatalf("no pinned hashes for %s: record them from a run of this test", mech)
+			}
+			script := replayScript(mech, n)
+			dir := t.TempDir()
+			m1, _ := openWALManager(t, dir)
+			sess := mustCreate(t, m1, replayParams(mech, 5))
+			answers := runScript(t, m1, sess.ID(), script[:kill])
+			m1.Close() // crash: no final snapshot
+			m2, _ := openWALManager(t, dir)
+			answers = append(answers, runScript(t, m2, sess.ID(), script[kill:])...)
+			m2.Close()
+
+			st, err := store.NewWAL(store.WALConfig{Dir: dir, Sync: store.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			events, err := st.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var journal bytes.Buffer
+			for _, ev := range events {
+				if ev.Kind == evProgress {
+					journal.Write(binary.AppendUvarint(nil, uint64(len(ev.Data))))
+					journal.Write(ev.Data)
+				}
+			}
+			var stream []byte
+			for _, r := range answers {
+				stream = append(stream, byte(boolBit(r.Above)|boolBit(r.Numeric)<<1|boolBit(r.FromSynthetic)<<2|boolBit(r.Exhausted)<<3))
+				stream = binary.LittleEndian.AppendUint64(stream, math.Float64bits(r.Value))
+			}
+			jsum, asum := sha256.Sum256(journal.Bytes()), sha256.Sum256(stream)
+			if got := hex.EncodeToString(jsum[:]); got != w.journal {
+				t.Errorf("progress journal hash %s, want %s", got, w.journal)
+			}
+			if got := hex.EncodeToString(asum[:]); got != w.answers {
+				t.Errorf("answer stream hash %s, want %s", got, w.answers)
+			}
+		})
 	}
 }
 

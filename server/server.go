@@ -1,8 +1,8 @@
-// Package server turns the repo's single-caller SVT library types into a
+// Package server turns the repo's single-caller mechanisms into a
 // sharded, multi-tenant session service: many analysts each hold an
-// interactive session (svt.Sparse, a variants algorithm, or a pmw
-// mediator) against private data, all behind one JSON-over-HTTP API with
-// per-session privacy-budget accounting.
+// interactive session (a mech registry mechanism: an SVT family member or
+// a pmw mediator) against private data, all behind one JSON-over-HTTP API
+// with per-session privacy-budget accounting.
 //
 // The SessionManager stripes sessions over N shards (hash of the session
 // ID → shard, one mutex and map per shard) so concurrent traffic on

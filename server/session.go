@@ -21,9 +21,9 @@ import (
 type Mechanism string
 
 const (
-	// MechSparse is the paper's corrected, generalized SVT (Algorithm 7)
-	// via svt.Sparse: optimal budget allocation, optional monotonic
-	// refinement and optional ε₃ numeric releases.
+	// MechSparse is the paper's corrected, generalized SVT (Algorithm 7):
+	// optimal budget allocation, optional monotonic refinement and
+	// optional ε₃ numeric releases.
 	MechSparse Mechanism = "sparse"
 	// MechProposed is the paper's Algorithm 1 (fixed ρ, ε₁=ε₂=ε/2).
 	MechProposed Mechanism = "proposed"

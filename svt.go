@@ -47,8 +47,6 @@ func (r Result) String() string {
 type Sparse struct {
 	alg              *core.Alg7
 	eps1, eps2, eps3 float64
-	opts             Options
-	answered         int
 }
 
 // New validates opts and returns a ready mechanism. The threshold noise is
@@ -64,7 +62,7 @@ func New(opts Options) (*Sparse, error) {
 		Delta: opts.Sensitivity, C: opts.MaxPositives,
 		Monotonic: opts.Monotonic,
 	})
-	return &Sparse{alg: alg, eps1: eps1, eps2: eps2, eps3: eps3, opts: opts}, nil
+	return &Sparse{alg: alg, eps1: eps1, eps2: eps2, eps3: eps3}, nil
 }
 
 // Next answers one threshold query: is query (true, unperturbed answer
@@ -82,7 +80,6 @@ func (s *Sparse) Next(query, threshold float64) (Result, error) {
 	if !ok {
 		return Result{}, ErrHalted
 	}
-	s.answered++
 	return Result{Above: ans.Above, Numeric: ans.Numeric, Value: ans.Value}, nil
 }
 
@@ -120,7 +117,7 @@ func (s *Sparse) Halted() bool { return s.alg.Halted() }
 func (s *Sparse) Remaining() int { return s.alg.Remaining() }
 
 // Answered returns how many queries have been answered so far.
-func (s *Sparse) Answered() int { return s.answered }
+func (s *Sparse) Answered() int { return s.alg.Answered() }
 
 // Budgets returns the realized (ε₁, ε₂, ε₃) split; the three always sum to
 // the configured Epsilon.
@@ -133,22 +130,16 @@ func (s *Sparse) Budgets() (eps1, eps2, eps3 float64) {
 // positives positive outcomes already released. After Restore the mechanism
 // can release at most MaxPositives−positives further positives, and is
 // halted when positives == MaxPositives — spent budget is never refreshed
-// by a restart. The noise stream is not restored: a recovered mechanism
-// draws fresh threshold and query noise, so Restore preserves the privacy
-// accounting, not the exact realized randomness.
+// by a restart. It fails on a used mechanism, one whose counters are not
+// both zero.
+//
+// Restore does not restore the noise. A mechanism rebuilt from its Seed
+// and fast-forwarded with FastForward resumes the exact pre-crash stream;
+// one built without a Seed draws a fresh threshold noise ρ. Theorem 4's
+// proof uses one ρ per run, so after k such restarts it covers
+// (k+1)·ε₁ + ε₂ + ε₃, not the configured Epsilon.
 func (s *Sparse) Restore(answered, positives int) error {
-	if s.answered != 0 || s.alg.Remaining() != s.opts.MaxPositives {
-		return errors.New("svt: Restore requires a freshly constructed mechanism")
-	}
-	if positives < 0 || positives > s.opts.MaxPositives {
-		return fmt.Errorf("svt: restored positives %d out of [0, %d]", positives, s.opts.MaxPositives)
-	}
-	if answered < positives {
-		return fmt.Errorf("svt: restored answered %d below positives %d", answered, positives)
-	}
-	s.answered = answered
-	s.alg.Restore(positives)
-	return nil
+	return s.alg.Restore(answered, positives)
 }
 
 // Draws returns the noise stream's position: how many raw 64-bit draws the
@@ -165,11 +156,4 @@ func (s *Sparse) Draws() uint64 { return s.alg.Draws() }
 // the analyst deterministic repeats of pre-crash comparisons, enough to
 // binary-search the realized noisy threshold. It returns an error if the
 // stream is already past draws.
-func (s *Sparse) FastForward(draws uint64) error {
-	cur := s.alg.Draws()
-	if draws < cur {
-		return fmt.Errorf("svt: cannot fast-forward to draw %d, stream already at %d", draws, cur)
-	}
-	s.alg.Skip(draws - cur)
-	return nil
-}
+func (s *Sparse) FastForward(draws uint64) error { return s.alg.FastForward(draws) }

@@ -45,20 +45,23 @@ type Restorer interface {
 	Restore(positives int) error
 }
 
-// Restore implements Restorer when the wrapped algorithm supports it. The
-// caller is responsible for keeping positives within the stream's cutoff c
-// (the underlying algorithm panics outside [0, c], mirroring the paper
-// implementations' precondition style).
+// recoverable is the crash-recovery side the differentially private
+// algorithms share.
+type recoverable interface {
+	Restore(answered, positives int) error
+	Draws() uint64
+	FastForward(draws uint64) error
+}
+
+// Restore implements Restorer when the wrapped algorithm supports it. It
+// fails on a used stream, one whose counters are not both zero, and for
+// positives outside [0, c].
 func (s stream) Restore(positives int) error {
-	r, ok := s.alg.(interface{ Restore(n int) })
+	r, ok := s.alg.(recoverable)
 	if !ok {
 		return fmt.Errorf("variants: %T does not support restore", s.alg)
 	}
-	if positives < 0 {
-		return fmt.Errorf("variants: restored positives must be non-negative, got %d", positives)
-	}
-	r.Restore(positives)
-	return nil
+	return r.Restore(positives, positives)
 }
 
 // StreamState is the optional noise-stream side of crash recovery: Draws
@@ -77,28 +80,20 @@ type StreamState interface {
 // Draws implements StreamState when the wrapped algorithm counts draws;
 // streams that do not return 0.
 func (s stream) Draws() uint64 {
-	if d, ok := s.alg.(interface{ Draws() uint64 }); ok {
-		return d.Draws()
+	if r, ok := s.alg.(recoverable); ok {
+		return r.Draws()
 	}
 	return 0
 }
 
 // FastForward implements StreamState when the wrapped algorithm supports
-// skipping.
+// it.
 func (s stream) FastForward(draws uint64) error {
-	alg, ok := s.alg.(interface {
-		Draws() uint64
-		Skip(n uint64)
-	})
+	r, ok := s.alg.(recoverable)
 	if !ok {
 		return fmt.Errorf("variants: %T does not support fast-forward", s.alg)
 	}
-	cur := alg.Draws()
-	if draws < cur {
-		return fmt.Errorf("variants: cannot fast-forward to draw %d, stream already at %d", draws, cur)
-	}
-	alg.Skip(draws - cur)
-	return nil
+	return r.FastForward(draws)
 }
 
 // RhoState is implemented by streams that can surface their noisy-threshold

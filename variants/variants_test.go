@@ -200,3 +200,29 @@ func TestStreamStateFastForwardAllDPVariants(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreRefusesPastCutoff: restoring more positives than the cutoff c
+// is an error, not a panic, for both differentially private streams.
+func TestRestoreRefusesPastCutoff(t *testing.T) {
+	const c = 3
+	for _, tc := range []struct {
+		name  string
+		build func() (Stream, error)
+	}{
+		{"proposed", func() (Stream, error) { return NewProposed(1, 1, c, 7) }},
+		{"dpbook", func() (Stream, error) { return NewDPBook(1, 1, c, 7) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.(Restorer).Restore(c + 1); err == nil {
+				t.Fatalf("Restore(%d) past the cutoff %d accepted", c+1, c)
+			}
+			if s.Halted() {
+				t.Fatal("a refused Restore halted the stream")
+			}
+		})
+	}
+}
