@@ -27,7 +27,7 @@ func TestClientQueryAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the pools and the connection's intern cache
+	run() // warm the pools
 	if got := testing.AllocsPerRun(200, run); got > budget {
 		t.Fatalf("one Query round trip allocates %.2f/op, budget %d", got, budget)
 	}

@@ -9,7 +9,7 @@
 //
 // The SDK is registry-driven: it fetches GET /v1/mechanisms' capability
 // flags over the wire (OpMechanisms) and validates CreateParams against
-// them — seed vs seedable, histogram vs needsHistogram, cache vs
+// them — seed vs seedable, histogram vs needsHistogram, monotonic vs
 // monotonicRefinement — so a mechanism added to the server ships in the
 // client with no SDK change, and impossible requests fail before
 // spending a round trip.
@@ -779,9 +779,6 @@ func (c *Client) validateCreate(params *CreateParams) error {
 	}
 	if !mi.NeedsHistogram && len(params.Histogram) > 0 {
 		return fmt.Errorf("client: mechanism %q does not take a histogram", mi.Name)
-	}
-	if params.CacheSize > 0 && !mi.MonotonicRefinement {
-		return fmt.Errorf("client: mechanism %q does not support the response cache", mi.Name)
 	}
 	if params.Monotonic && !mi.MonotonicRefinement {
 		return fmt.Errorf("client: mechanism %q does not support the monotonic refinement", mi.Name)

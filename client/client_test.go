@@ -32,6 +32,13 @@ func startServer(t *testing.T, cfg server.WireConfig) (string, *server.WireServe
 	t.Helper()
 	m := server.NewSessionManager(server.ManagerConfig{})
 	t.Cleanup(m.Close)
+	return serveManager(t, m, cfg)
+}
+
+// serveManager runs a WireServer for m on an ephemeral loopback port and
+// tears it down with the test.
+func serveManager(t *testing.T, m *server.SessionManager, cfg server.WireConfig) (string, *server.WireServer) {
+	t.Helper()
 	ws := server.NewWireServer(m, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -167,13 +174,6 @@ func TestClientValidation(t *testing.T) {
 			want:   "requires a histogram",
 		},
 		{
-			name: "cache on a variant without the refinement",
-			params: client.CreateParams{
-				Mechanism: "proposed", Epsilon: 1, MaxPositives: 1, CacheSize: 8,
-			},
-			want: "does not support the response cache",
-		},
-		{
 			name: "monotonic on a variant without the refinement",
 			params: client.CreateParams{
 				Mechanism: "dpbook", Epsilon: 1, MaxPositives: 1, Monotonic: true,
@@ -192,6 +192,25 @@ func TestClientValidation(t *testing.T) {
 				t.Fatalf("validation error %v reached the server", err)
 			}
 		})
+	}
+}
+
+// TestClientCacheSizeRefusedByServer: the SDK does not check CacheSize
+// itself. The server refuses it, and Create returns that refusal as an
+// *APIError with code bad_request, which shows the request reached the
+// server, and no session is created.
+func TestClientCacheSizeRefusedByServer(t *testing.T) {
+	m := server.NewSessionManager(server.ManagerConfig{})
+	t.Cleanup(m.Close)
+	addr, _ := serveManager(t, m, server.WireConfig{})
+	c := dial(t, addr, client.Options{})
+	_, err := c.Create(client.CreateParams{Mechanism: "sparse", Epsilon: 1, MaxPositives: 4, CacheSize: 8})
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Code != "bad_request" || !strings.Contains(ae.Message, "no finite ε") {
+		t.Fatalf("Create with CacheSize = %v, want the server's bad_request with its reason", err)
+	}
+	if n := m.Len(); n != 0 {
+		t.Fatalf("refused create left %d live sessions", n)
 	}
 }
 

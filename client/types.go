@@ -32,8 +32,10 @@ type CreateParams struct {
 	// Seed makes the session reproducible; only mechanisms flagged
 	// seedable accept it.
 	Seed uint64 `json:"seed,omitempty"`
-	// CacheSize bounds the repeat-query response cache; only mechanisms
-	// flagged monotonicRefinement accept it.
+	// Deprecated: the server refuses a nonzero CacheSize, and Create
+	// returns its refusal as an *APIError with code bad_request. The cache
+	// it selected keyed on the query value, so a cached session had no
+	// finite ε.
 	CacheSize int `json:"cacheSize,omitempty"`
 	// TTLSeconds is the idle time-to-live; 0 uses the server default.
 	TTLSeconds float64 `json:"ttlSeconds,omitempty"`

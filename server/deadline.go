@@ -41,7 +41,7 @@ const (
 // transaction's batch of events. Everything is reused — the goroutine,
 // the signal and result channels, the event slice and its data buffer —
 // so an armed deadline adds no steady-state allocations to the query hot
-// path (the ≤10/≤6 alloc pins include the armed configuration).
+// path (the ≤6 alloc pins include the armed configuration).
 type journalWaiter struct {
 	m     *SessionManager
 	evs   []store.Event

@@ -60,7 +60,8 @@ func TestProgressSeedCorpusDecodes(t *testing.T) {
 
 // sessionRecordSeeds returns one canonical session-record payload per
 // codec generation: v1 (no version tag), v2 (rho/synth special cases), v3
-// (opaque state blob) — all JSON — and the v4 binary layout.
+// (opaque state blob) — all JSON — and the v4 binary layout, plus a v4
+// create record written with a nonzero cacheSize slot.
 func sessionRecordSeeds() [][]byte {
 	th := 0.5
 	full := sessionRecord{
@@ -85,6 +86,7 @@ func sessionRecordSeeds() [][]byte {
 		[]byte(`{"v":3,"params":{"mechanism":"esvt","epsilon":1,"maxPositives":3,"seed":17,"ttlSeconds":600},"createdAtUnixNano":321,"answered":2,"positives":1,"draws":4,"state":"AAAAAAAA4D8="}`),
 		appendSessionRecord(nil, &full),
 		appendSessionRecord(nil, &lean),
+		cachedCreate,
 	}
 }
 

@@ -158,7 +158,7 @@ const (
 //	mechanism (uvarint length + bytes),
 //	epsilon, sensitivity, answerFraction, updateFraction, learningRate,
 //	ttlSeconds (6 × float64 LE),
-//	maxPositives, seed, cacheSize (uvarints),
+//	maxPositives, seed, 0 (uvarints; 0 fills the old cacheSize slot),
 //	[threshold float64 LE]  [histogram: uvarint count + count × float64 LE]
 //	createdAt (zig-zag varint), answered, positives, draws, auxDraws
 //	(uvarints), [state: uvarint length + bytes],
@@ -198,7 +198,7 @@ func appendSessionRecord(buf []byte, rec *sessionRecord) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(rec.Params.MaxPositives))
 	buf = binary.AppendUvarint(buf, rec.Params.Seed)
-	buf = binary.AppendUvarint(buf, uint64(rec.Params.CacheSize))
+	buf = append(buf, 0) // the cacheSize slot
 	if rec.Params.Threshold != nil {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(*rec.Params.Threshold))
 	}
@@ -306,7 +306,7 @@ func decodeSessionRecordV4(data []byte) (*sessionRecord, error) {
 	rec.Params.TTLSeconds = d.float()
 	rec.Params.MaxPositives = d.count()
 	rec.Params.Seed = d.uvarint()
-	rec.Params.CacheSize = d.count()
+	d.count() // the cacheSize slot: a record from a cached session recovers uncached
 	if flags&recHasThreshold != 0 {
 		th := d.float()
 		rec.Params.Threshold = &th

@@ -472,6 +472,9 @@ func (m *SessionManager) create(p CreateParams) (*Session, *shard, error) {
 	if p.TTLSeconds < 0 || math.IsNaN(p.TTLSeconds) {
 		return nil, nil, fmt.Errorf("server: ttlSeconds must be non-negative, got %v", p.TTLSeconds)
 	}
+	if p.CacheSize != 0 {
+		return nil, nil, fmt.Errorf("server: cacheSize is refused: a response cache keyed on the query value makes a hit depend on the private data, so a cached session would have no finite ε")
+	}
 	if p.TTLSeconds > 0 {
 		// Compare in float seconds: converting huge or +Inf values to a
 		// Duration first would overflow int64 and wrap negative.

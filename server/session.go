@@ -60,16 +60,9 @@ type CreateParams struct {
 	AnswerFraction float64 `json:"answerFraction,omitempty"`
 	// Seed makes the session reproducible; 0 means crypto-seeded.
 	Seed uint64 `json:"seed,omitempty"`
-	// CacheSize opts the session into a bounded response cache for repeated
-	// identical threshold queries (entries; 0 — the default — disables it).
-	// A cache hit replays the prior released answer without touching the
-	// mechanism, which is differentially private for free (post-processing
-	// of an already-released output) and spends no budget — but it changes
-	// the interaction model: repeats no longer get independent noisy
-	// comparisons. Only mechanisms with the monotonicRefinement capability
-	// accept it, and it cannot be combined with a non-zero Seed: the cache
-	// is not journaled, so a crash-recovered session would diverge from the
-	// seeded stream's bit-identical replay contract.
+	// Deprecated: the manager refuses a nonzero CacheSize as bad_request.
+	// The response cache it selected keyed on the query value, computed
+	// from the private data, so a cached session had no finite ε.
 	CacheSize int `json:"cacheSize,omitempty"`
 	// TTLSeconds is the idle time-to-live; 0 uses the manager default.
 	TTLSeconds float64 `json:"ttlSeconds,omitempty"`
@@ -245,11 +238,6 @@ func newSession(reg *mech.Registry, id string, p CreateParams, ttl time.Duration
 	if err != nil {
 		return nil, err
 	}
-	if p.CacheSize != 0 {
-		if inst, err = wrapCache(reg, p, inst); err != nil {
-			return nil, err
-		}
-	}
 	s.inst = inst
 	s.budget.Eps1, s.budget.Eps2, s.budget.Eps3 = inst.Budgets()
 
@@ -267,31 +255,6 @@ func newSession(reg *mech.Registry, id string, p CreateParams, ttl time.Duration
 	s.jDraws, s.jAux = inst.Draws() // construction draws are in the create record
 	s.touch(now)
 	return s, nil
-}
-
-// MaxCacheSize caps the per-session response cache: entries are tiny, but
-// an unbounded request-controlled allocation is a memory DoS.
-const MaxCacheSize = 1 << 16
-
-// wrapCache validates the cacheSize opt-in and wraps the instance in the
-// response-cache middleware. The gate is capability-driven: repeated
-// identical queries are the monotonic-refinement workload, and only
-// mechanisms advertising it accept the cache. Seeded sessions are refused —
-// the cache is not journaled, so a crash-recovered session would re-draw
-// noise where the uninterrupted run had a hit, breaking the seeded
-// bit-identical replay contract.
-func wrapCache(reg *mech.Registry, p CreateParams, inst mech.Instance) (mech.Instance, error) {
-	if p.CacheSize < 0 || p.CacheSize > MaxCacheSize {
-		return nil, fmt.Errorf("server: cacheSize must be in [1, %d], got %d", MaxCacheSize, p.CacheSize)
-	}
-	f, ok := reg.Lookup(string(p.Mechanism))
-	if !ok || !f.Caps.MonotonicRefinement {
-		return nil, fmt.Errorf("server: cacheSize requires a mechanism with the monotonicRefinement capability; %q does not advertise it", p.Mechanism)
-	}
-	if p.Seed != 0 {
-		return nil, fmt.Errorf("server: cacheSize cannot be combined with a seed: the response cache is not journaled, so crash recovery could not replay the stream bit-identically")
-	}
-	return mech.NewCached(inst, p.CacheSize), nil
 }
 
 // resolve builds the mechanism-layer query: the session's default threshold

@@ -215,6 +215,14 @@ type walBatch struct {
 	flushed sync.Cond // on the WAL's mu; per-batch so a flush wakes only its own waiters
 }
 
+// The journal holds every client seed, pmw's private histogram and tenant
+// names, so only its owner may read it. A directory that already exists
+// keeps its mode.
+const (
+	walDirMode  = 0o700
+	walFileMode = 0o600
+)
+
 // NewWAL opens (or initializes) the journal directory, replays the latest
 // snapshot plus journal into memory for Recover, truncates any torn tail so
 // new appends start from a clean record boundary, and removes stale
@@ -230,7 +238,7 @@ func newWAL(cfg WALConfig, mmap bool) (*WAL, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("store: WAL requires a directory")
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(cfg.Dir, walDirMode); err != nil {
 		return nil, fmt.Errorf("store: creating WAL dir: %w", err)
 	}
 	if cfg.CommitWindow < 0 {
@@ -430,7 +438,7 @@ func (w *WAL) openSegment(gen uint64, walBytes int64, fresh bool) (*os.File, mma
 		truncFlag = os.O_TRUNC
 	}
 	if !w.noMmap {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|truncFlag, 0o644)
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|truncFlag, walFileMode)
 		if err != nil {
 			return nil, mmapRegion{}, fmt.Errorf("store: opening journal: %w", err)
 		}
@@ -443,7 +451,7 @@ func (w *WAL) openSegment(gen uint64, walBytes int64, fresh bool) (*os.File, mma
 		_ = f.Close()
 		w.noMmap = true
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|truncFlag, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|truncFlag, walFileMode)
 	if err != nil {
 		return nil, mmapRegion{}, fmt.Errorf("store: opening journal: %w", err)
 	}
@@ -673,7 +681,7 @@ func (w *WAL) reserveLocked(need int) ([]byte, error) {
 			if terr := w.f.Truncate(int64(off)); terr != nil {
 				w.broken = true
 				w.fail(terr)
-			} else if nf, oerr := os.OpenFile(filepath.Join(w.dir, segName(walPrefix, w.gen)), os.O_WRONLY|os.O_APPEND, 0o644); oerr != nil {
+			} else if nf, oerr := os.OpenFile(filepath.Join(w.dir, segName(walPrefix, w.gen)), os.O_WRONLY|os.O_APPEND, walFileMode); oerr != nil {
 				w.broken = true
 				w.fail(oerr)
 			} else {
@@ -1101,7 +1109,7 @@ var snapBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1<<16); retur
 // It runs outside w.mu (Commit's baseline write is concurrent with appends)
 // and therefore touches no shared counters; the caller accounts the fsync.
 func (w *WAL) writeSnapshotFile(path string, state []Event) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, walFileMode)
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot: %w", err)
 	}

@@ -762,3 +762,64 @@ func TestMemStore(t *testing.T) {
 		t.Fatalf("Append after Close: %v, want ErrClosed", err)
 	}
 }
+
+// TestWALFilesAreOwnerOnly: the journal holds client seeds, pmw's private
+// histogram and tenant names, so a WAL opened on a fresh path gives no
+// group or other permission to its directory or to any file in it, through
+// appends, a two-phase snapshot and a reopen.
+func TestWALFilesAreOwnerOnly(t *testing.T) {
+	forEachWALMode(t, testWALFilesAreOwnerOnly)
+}
+
+func testWALFilesAreOwnerOnly(t *testing.T, mmap bool) {
+	dir := filepath.Join(t.TempDir(), "journal")
+	w, err := newWAL(WALConfig{Dir: dir, Sync: SyncAlways}, mmap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(ev(1, "a", "seed")); err != nil {
+		t.Fatal(err)
+	}
+	rot, err := w.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rot.Commit([]Event{ev(5, "a", "baseline")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(ev(2, "a", "post-snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = newWAL(WALConfig{Dir: dir, Sync: SyncAlways}, mmap); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(ev(2, "a", "reopened")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{dir}
+	for _, e := range entries {
+		paths = append(paths, filepath.Join(dir, e.Name()))
+	}
+	if len(paths) < 3 {
+		t.Fatalf("journal holds %d files, want a segment and a snapshot", len(paths)-1)
+	}
+	for _, p := range paths {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perm := fi.Mode().Perm(); perm&0o077 != 0 {
+			t.Errorf("%s has mode %v, want no group or other bits", p, perm)
+		}
+	}
+}

@@ -23,10 +23,11 @@
 // and records the observation with weight N (Histogram.ObserveN), which
 // keeps the steady-state overhead of a histogram to roughly
 // (clock cost)/N while the bucket counts still estimate the full
-// population. Sampled families say so in their help text. The full
-// three-layer instrumentation costs the WAL-backed HTTP serving path
-// about 4% (measured by BenchmarkHTTPQueryParallelWALTelemetry against
-// its uninstrumented twin; the acceptance budget is 5%).
+// population. Sampled families say so in their help text. What the full
+// three-layer instrumentation costs the WAL-backed HTTP serving path is
+// measured by BenchmarkHTTPQueryParallelWALTelemetry against its
+// uninstrumented twin, and no test bounds it; the README gives the
+// latest measurement and the machine it ran on.
 //
 // # What the server registers
 //
