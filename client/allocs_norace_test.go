@@ -9,12 +9,12 @@ import (
 	"github.com/dpgo/svt/server"
 )
 
-// TestClientQueryAllocs pins one Query round trip at 12 allocations,
+// TestClientQueryAllocs pins one Query round trip at 11 allocations,
 // counted over the whole process: the SDK call and the in-memory
 // WireServer answering it together. Race builds are left out: sync.Pool
 // drops items at random there, which inflates the server's count.
 func TestClientQueryAllocs(t *testing.T) {
-	const budget = 12
+	const budget = 11
 	addr, _ := startServer(t, server.WireConfig{})
 	c := dial(t, addr, client.Options{})
 	sess, err := c.Create(neverHalting())

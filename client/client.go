@@ -847,22 +847,12 @@ func (c *Client) QueryID(session, requestID string, items []QueryItem) (*BatchRe
 	if err := wire.DecodeQueryOKBody(body, &qr); err != nil {
 		return nil, err
 	}
-	out := &BatchResult{
+	return &BatchResult{
+		Results:   qr.Results,
 		Halted:    qr.Halted,
 		Remaining: qr.Remaining,
 		RequestID: string(qr.Corr),
-		Results:   make([]QueryResult, len(qr.Results)),
-	}
-	for i, r := range qr.Results {
-		out.Results[i] = QueryResult{
-			Above:         r.Above,
-			Numeric:       r.Numeric,
-			Value:         r.Value,
-			FromSynthetic: r.FromSynthetic,
-			Exhausted:     r.Exhausted,
-		}
-	}
-	return out, nil
+	}, nil
 }
 
 // Status fetches a session's current state. Status is read-only and

@@ -215,12 +215,9 @@ func TestClientCacheSizeRefusedByServer(t *testing.T) {
 }
 
 func TestClientRateLimited(t *testing.T) {
-	addr, ws := startServer(t, server.WireConfig{})
-	rl, err := server.NewRateLimiter(server.RateLimitConfig{Rate: 0.5, Burst: 1})
-	if err != nil {
-		t.Fatalf("NewRateLimiter: %v", err)
-	}
-	ws.SetRateLimiter(rl)
+	m := server.NewSessionManager(server.ManagerConfig{RateLimit: server.RateLimitConfig{Rate: 0.5, Burst: 1}})
+	t.Cleanup(m.Close)
+	addr, _ := serveManager(t, m, server.WireConfig{})
 
 	c := dial(t, addr, client.Options{Tenant: "acme"})
 	// The burst admits exactly one request; the next is limited with a
@@ -228,7 +225,7 @@ func TestClientRateLimited(t *testing.T) {
 	if _, err := c.Mechanisms(); err != nil {
 		t.Fatalf("first request: %v", err)
 	}
-	_, err = c.Status("whatever")
+	_, err := c.Status("whatever")
 	var ae *client.APIError
 	if !errors.As(err, &ae) || ae.Code != "rate_limited" {
 		t.Fatalf("second request = %v, want APIError rate_limited", err)

@@ -1,6 +1,10 @@
 package client
 
-import "time"
+import (
+	"time"
+
+	"github.com/dpgo/svt/wire"
+)
 
 // The request/response types mirror the server's JSON API field for
 // field (same names, same tags) without importing the server package, so
@@ -85,20 +89,8 @@ type QueryItem struct {
 	Buckets []int `json:"buckets,omitempty"`
 }
 
-// QueryResult is one released answer.
-type QueryResult struct {
-	// Above is the ⊤/⊥ indicator.
-	Above bool `json:"above"`
-	// Numeric reports that Value carries a released number.
-	Numeric bool `json:"numeric,omitempty"`
-	// Value is the released number when Numeric is set.
-	Value float64 `json:"value,omitempty"`
-	// FromSynthetic marks a free mediator answer (no budget spent).
-	FromSynthetic bool `json:"fromSynthetic,omitempty"`
-	// Exhausted marks a mediator answer released after the update budget
-	// was spent: an unchecked synthetic estimate.
-	Exhausted bool `json:"exhausted,omitempty"`
-}
+// QueryResult is one released answer, decoded straight off the wire.
+type QueryResult = wire.Result
 
 // BatchResult is the outcome of one query batch.
 type BatchResult struct {

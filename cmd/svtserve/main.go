@@ -52,13 +52,18 @@
 // profilable in production without exposing profiling endpoints to
 // analyst traffic.
 //
-// Rate limiting: -rate enables per-tenant token buckets on /v1/* keyed by
-// the X-Tenant header; rejected requests get a JSON 429 with Retry-After.
-// /metrics and /healthz sit outside /v1/ and are never throttled.
+// Admission: -rate and -max-inflight configure the session manager's one
+// admission gate, which both edges share. -rate gives each tenant one
+// token bucket across HTTP and wire: every /v1/* request (tenant from the
+// X-Tenant header) and every wire frame after the hello (tenant from the
+// hello) spends a token, and a rejected request gets a JSON 429 or a
+// rate_limited error frame, each with a retry hint. -max-inflight caps
+// each edge on its own: HTTP /v1/* requests, and wire queries. /metrics
+// and /healthz sit outside /v1/ and are never throttled or shed.
 //
 // Wire protocol: -wire-addr additionally serves the length-prefixed
 // binary protocol of the wire package on its own listener — the same
-// sessions, mechanisms, rate limits, telemetry and traces as the HTTP
+// sessions, mechanisms, admission gate, telemetry and traces as the HTTP
 // API at a fraction of the per-query cost, with pipelined out-of-order
 // responses per connection. The client package is the Go SDK. JSON HTTP
 // stays on -addr for compatibility.
@@ -263,6 +268,8 @@ func run(cfg config) error {
 		Store:            st,
 		SnapshotInterval: cfg.snapInt,
 		JournalDeadline:  cfg.journalDeadline,
+		MaxInFlight:      cfg.maxInFlight,
+		RateLimit:        server.RateLimitConfig{Rate: cfg.rate, Burst: cfg.burst},
 		Telemetry:        reg,
 		Tracer:           tracer,
 	})
@@ -275,11 +282,13 @@ func run(cfg config) error {
 	if st != nil {
 		log.Printf("svtserve: wal store at %s (fsync=%s), recovered %d sessions", cfg.walDir, cfg.fsync, mgr.Recovered())
 	}
+	if cfg.rate != 0 {
+		log.Printf("svtserve: per-tenant rate limit %g req/s", cfg.rate)
+	}
 
 	api := server.NewAPI(mgr, server.APIConfig{
 		MaxBodyBytes:       cfg.maxBody,
 		MaxBatch:           cfg.maxBatch,
-		MaxInFlight:        cfg.maxInFlight,
 		Telemetry:          reg,
 		SlowQueryThreshold: time.Duration(cfg.slowQueryMS) * time.Millisecond,
 		Logger:             logger,
@@ -294,7 +303,6 @@ func run(cfg config) error {
 		wireSrv = server.NewWireServer(mgr, server.WireConfig{
 			MaxFrameBytes: int(cfg.maxBody),
 			MaxBatch:      cfg.maxBatch,
-			MaxInFlight:   cfg.maxInFlight,
 			IdleTimeout:   cfg.wireIdleTimeout,
 			Telemetry:     reg,
 			Tracer:        tracer,
@@ -307,25 +315,6 @@ func run(cfg config) error {
 			}
 			return fmt.Errorf("wire listener: %w", err)
 		}
-	}
-	var handler http.Handler = api
-	if cfg.rate > 0 {
-		rl, err := server.NewRateLimiter(server.RateLimitConfig{Rate: cfg.rate, Burst: cfg.burst})
-		if err != nil {
-			mgr.Close()
-			if st != nil {
-				_ = st.Close()
-			}
-			return err
-		}
-		api.SetRateLimiter(rl)
-		handler = rl.Middleware(handler)
-		if wireSrv != nil {
-			// Both edges share the same limiter, so a tenant's budget is
-			// one budget no matter which protocol it arrives over.
-			wireSrv.SetRateLimiter(rl)
-		}
-		log.Printf("svtserve: per-tenant rate limit %g req/s", cfg.rate)
 	}
 
 	// One machine-parseable line with the effective configuration, so an
@@ -357,7 +346,7 @@ func run(cfg config) error {
 	// endpoint streams, so whole-request/response timeouts are safe.
 	srv := &http.Server{
 		Addr:              cfg.addr,
-		Handler:           handler,
+		Handler:           api,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       cfg.httpReadTimeout,
 		WriteTimeout:      cfg.httpWriteTimeout,

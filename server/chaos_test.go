@@ -25,15 +25,14 @@ import (
 	"github.com/dpgo/svt/store"
 )
 
-// openFaultManager opens a manager over a fault-wrapped Mem store.
-func openFaultManager(t *testing.T, sched *fault.Schedule, deadline time.Duration) *SessionManager {
+// openFaultManager opens a manager configured by cfg over a fault-wrapped
+// Mem store.
+func openFaultManager(t *testing.T, sched *fault.Schedule, cfg ManagerConfig) *SessionManager {
 	t.Helper()
-	m, err := Open(ManagerConfig{
-		Store:            fault.Wrap(store.NewMem(), sched),
-		JournalDeadline:  deadline,
-		SweepInterval:    time.Hour,
-		SnapshotInterval: -1,
-	})
+	cfg.Store = fault.Wrap(store.NewMem(), sched)
+	cfg.SweepInterval = time.Hour
+	cfg.SnapshotInterval = -1
+	m, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func waitForCalls(t *testing.T, sched *fault.Schedule, op fault.Op, n uint64) {
 func TestChaosStalledStoreDeadline(t *testing.T) {
 	// Append #1 is the create; appends #2 and #3 stall indefinitely.
 	sched := fault.NewSchedule(42, fault.Rule{Op: fault.OpAppend, After: 1, Count: 2, Stall: true})
-	m := openFaultManager(t, sched, 50*time.Millisecond)
+	m := openFaultManager(t, sched, ManagerConfig{JournalDeadline: 50 * time.Millisecond})
 
 	s := mustCreate(t, m, CreateParams{Mechanism: MechSparse, Epsilon: 1, MaxPositives: 8, Seed: 7})
 
@@ -116,14 +115,15 @@ func TestChaosStalledStoreDeadline(t *testing.T) {
 // TestChaosOverloadShedsHTTP: with one in-flight slot occupied by a
 // request stuck on a stalled store, the HTTP edge sheds the next request
 // with 503 "unavailable" + Retry-After instead of queueing it, counts
-// the shed, and serves normally once the stall clears.
+// the shed, and serves normally once the stall clears. The cap is per
+// edge: meanwhile a wire query on the same manager is answered.
 func TestChaosOverloadShedsHTTP(t *testing.T) {
 	// No journal deadline: the stalled query blocks, pinning its slot.
 	sched := fault.NewSchedule(42, fault.Rule{Op: fault.OpAppend, After: 1, Count: 1, Stall: true})
-	m := openFaultManager(t, sched, 0)
+	m := openFaultManager(t, sched, ManagerConfig{MaxInFlight: 1})
 	s := mustCreate(t, m, CreateParams{Mechanism: MechSparse, Epsilon: 1, MaxPositives: 8, Seed: 7})
 
-	srv := httptest.NewServer(NewAPI(m, APIConfig{MaxInFlight: 1}))
+	srv := httptest.NewServer(NewAPI(m, APIConfig{}))
 	defer srv.Close()
 	url := srv.URL + "/v1/sessions/" + s.ID() + "/query"
 
@@ -151,8 +151,19 @@ func TestChaosOverloadShedsHTTP(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("shed response is missing Retry-After")
 	}
-	if n := m.shedHTTP.Load(); n == 0 {
-		t.Fatal("shedHTTP = 0, want > 0")
+	if n := m.gate.shed[edgeHTTP].Load(); n == 0 {
+		t.Fatal("HTTP shed count = 0, want > 0")
+	}
+	c, err := client.Dial(startChaosWire(t, m, WireConfig{}), client.Options{DialTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Query(s.ID(), []client.QueryItem{{Query: 0, Threshold: client.Float(1e12)}}); err != nil {
+		t.Fatalf("wire query while the HTTP edge is at its cap: %v, want an answer", err)
+	}
+	if n := m.gate.shed[edgeWire].Load(); n != 0 {
+		t.Fatalf("wire shed count = %d, want 0", n)
 	}
 
 	sched.Release()
@@ -188,9 +199,9 @@ func startChaosWire(t *testing.T, m *SessionManager, cfg WireConfig) string {
 // accounting shows each admitted query answered exactly once.
 func TestChaosOverloadShedsWire(t *testing.T) {
 	sched := fault.NewSchedule(42, fault.Rule{Op: fault.OpAppend, After: 1, Count: 1, Stall: true})
-	m := openFaultManager(t, sched, 0)
+	m := openFaultManager(t, sched, ManagerConfig{MaxInFlight: 1})
 	s := mustCreate(t, m, CreateParams{Mechanism: MechSparse, Epsilon: 1, MaxPositives: 8, Seed: 7})
-	addr := startChaosWire(t, m, WireConfig{MaxInFlight: 1})
+	addr := startChaosWire(t, m, WireConfig{})
 
 	noRetry := client.Options{
 		DialTimeout: 5 * time.Second,
@@ -222,8 +233,8 @@ func TestChaosOverloadShedsWire(t *testing.T) {
 	if ae.RetryAfter <= 0 {
 		t.Fatalf("shed RetryAfter = %v, want > 0", ae.RetryAfter)
 	}
-	if n := m.shedWire.Load(); n == 0 {
-		t.Fatal("shedWire = 0, want > 0")
+	if n := m.gate.shed[edgeWire].Load(); n == 0 {
+		t.Fatal("wire shed count = 0, want > 0")
 	}
 
 	sched.Release()

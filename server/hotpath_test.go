@@ -193,22 +193,26 @@ func TestQueryHotPathAllocs(t *testing.T) {
 			t.Fatalf("instrumented single-query WAL path allocates %.1f/op, budget %d", got, budget)
 		}
 	})
-	// Journal deadline and in-flight shed gate armed (the deadline never
-	// fires, the cap never trips): the pooled waiter/timer machinery and
-	// the admission check must stay inside the same budget — resilience
-	// is not allowed to cost the happy path its allocation pin.
+	// Journal deadline and admission gate armed (the deadline never fires,
+	// the cap never trips, the rate limit never rejects): the pooled
+	// waiter/timer machinery, the in-flight count and the tenant's bucket
+	// must stay inside the same budget — resilience is not allowed to cost
+	// the happy path its allocation pin.
 	t.Run("wal+deadline", func(t *testing.T) {
 		st, err := store.NewWAL(store.WALConfig{Dir: t.TempDir(), Sync: store.SyncInterval})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		m, err := Open(ManagerConfig{SweepInterval: time.Hour, SnapshotInterval: -1, Store: st, JournalDeadline: time.Minute})
+		m, err := Open(ManagerConfig{
+			SweepInterval: time.Hour, SnapshotInterval: -1, Store: st, JournalDeadline: time.Minute,
+			MaxInFlight: 1 << 20, RateLimit: RateLimitConfig{Rate: 1e12},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		if got := queryAllocs(t, m, APIConfig{MaxInFlight: 1 << 20}); got > budget {
+		if got := queryAllocs(t, m, APIConfig{}); got > budget {
 			t.Fatalf("deadline-armed single-query WAL path allocates %.1f/op, budget %d", got, budget)
 		}
 	})

@@ -45,12 +45,6 @@ type APIConfig struct {
 	// Tracer to the manager (ManagerConfig.Tracer) so its spans join the
 	// HTTP span under one tree. Nil disables tracing and the endpoints.
 	Tracer *trace.Tracer
-	// MaxInFlight caps concurrently-served /v1/ requests; past the cap
-	// the API load-sheds with a typed 503 "unavailable" (Retry-After set)
-	// instead of queueing toward collapse. Liveness and metrics paths
-	// (/healthz, /metrics) are never shed — an overloaded server must
-	// still be observable. 0 means unlimited (the historical behavior).
-	MaxInFlight int
 }
 
 // Defaults for APIConfig zero values.
@@ -84,18 +78,9 @@ type API struct {
 	// response is otherwise invisible.
 	encodeFailures atomic.Uint64
 
-	// inFlight counts /v1/ requests currently inside ServeHTTP when the
-	// MaxInFlight shed gate is armed (it stays untouched at 0 otherwise;
-	// the telemetry in-flight gauge is separate and covers every route).
-	inFlight atomic.Int64
-
 	// tel is nil when the API runs without a telemetry registry; ServeHTTP
 	// then degenerates to a bare mux dispatch.
 	tel *apiTelemetry
-	// limiter is the rate limiter attached via SetRateLimiter, read by the
-	// stats and metrics paths for per-tenant rejection counts. Atomic so a
-	// limiter can be attached after the API is already serving.
-	limiter atomic.Pointer[RateLimiter]
 	// queries is the /query path shared with the wire edge.
 	queries queryPipeline
 
@@ -148,27 +133,25 @@ func NewAPI(mgr *SessionManager, cfg APIConfig) *API {
 	return a
 }
 
-// SetRateLimiter points the stats and metrics paths at the limiter
-// guarding this API (usually the one whose Middleware wraps it), so 429s
-// show up per tenant in GET /v1/stats and /metrics.
-func (a *API) SetRateLimiter(rl *RateLimiter) {
-	a.limiter.Store(rl)
-}
-
-// ServeHTTP implements http.Handler. With telemetry attached it wraps the
-// dispatch in the instrumentation envelope: in-flight gauge, pooled status
-// capture, and a sampled route-latency observation keyed by the mux
-// pattern the request actually matched.
+// ServeHTTP implements http.Handler. With the manager's admission gate
+// armed, every /v1/ request is first charged to its X-Tenant's rate-limit
+// bucket, then takes one of the HTTP edge's in-flight slots; /healthz and
+// /metrics bypass both, so an overloaded server stays observable. With
+// telemetry attached it wraps the dispatch in the instrumentation
+// envelope: in-flight gauge, pooled status capture, and a sampled
+// route-latency observation keyed by the mux pattern the request actually
+// matched.
 func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if a.cfg.MaxInFlight > 0 && strings.HasPrefix(r.URL.Path, "/v1/") {
-		if a.inFlight.Add(1) > int64(a.cfg.MaxInFlight) {
-			a.inFlight.Add(-1)
-			a.mgr.shedHTTP.Add(1)
-			a.writeError(w, failure{CodeUnavailable,
-				"server overloaded: in-flight request cap reached, retry shortly", DefaultRetryAfterSeconds})
+	if g := &a.mgr.gate; g.on && strings.HasPrefix(r.URL.Path, "/v1/") {
+		f := g.limit(r.Header.Get(TenantHeader))
+		if f.code == "" {
+			f = g.enter(edgeHTTP)
+		}
+		if f.code != "" {
+			a.writeError(w, f)
 			return
 		}
-		defer a.inFlight.Add(-1)
+		defer g.leave(edgeHTTP)
 	}
 	t := a.tel
 	if t == nil {
@@ -217,7 +200,7 @@ const (
 	CodeRateLimited      = "rate_limited"
 	// CodeUnavailable marks a typed, retryable condition: a journal
 	// append that exceeded ManagerConfig.JournalDeadline, or load
-	// shedding at APIConfig.MaxInFlight. Always delivered as HTTP 503
+	// shedding at ManagerConfig.MaxInFlight. Always delivered as HTTP 503
 	// with a Retry-After header (and on the wire as an error frame with
 	// RetryAfterSeconds), so clients know to back off and try again.
 	CodeUnavailable = "unavailable"
@@ -570,9 +553,6 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st := a.mgr.Stats()
 	st.EncodeFailures = a.encodeFailures.Load()
-	if rl := a.limiter.Load(); rl != nil {
-		st.RateLimited = rl.RejectedByTenant()
-	}
 	a.writeJSON(w, http.StatusOK, st)
 }
 

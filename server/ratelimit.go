@@ -3,9 +3,8 @@ package server
 import (
 	"fmt"
 	"math"
-	"net/http"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -13,29 +12,88 @@ import (
 // rate limiting. Requests without it share the default tenant's bucket.
 const TenantHeader = "X-Tenant"
 
-// DefaultMaxTenants caps how many distinct tenant buckets a RateLimiter
+// DefaultMaxTenants caps how many distinct tenant buckets the rate limiter
 // tracks before spillover tenants share one overflow bucket, bounding the
 // memory a hostile client can allocate by inventing tenant names.
 const DefaultMaxTenants = 16384
 
-// RateLimitConfig configures per-tenant token buckets.
+// RateLimitConfig configures per-tenant token buckets
+// (ManagerConfig.RateLimit).
 type RateLimitConfig struct {
 	// Rate is the sustained request budget per tenant in requests/second.
-	// Required, must be positive and finite.
+	// 0 disables rate limiting; otherwise it must be positive and finite.
 	Rate float64
 	// Burst is the bucket depth: how many requests a tenant may send
 	// back-to-back after being idle. 0 means max(Rate, 1).
 	Burst float64
-	// MaxTenants caps tracked tenants; 0 means DefaultMaxTenants.
-	MaxTenants int
-	// MaxTenantSeries caps how many distinct tenants appear BY NAME in
-	// the per-tenant rejection counts (RejectedByTenant, and through it
-	// the rate-limit metric labels); rejections for tenants beyond the
-	// cap aggregate under OtherTenant. It is deliberately much smaller
-	// than MaxTenants: the limiter can afford 16k buckets, but 16k label
-	// sets would blow up every scrape and the time series behind them.
-	// 0 means DefaultMaxTenantSeries.
-	MaxTenantSeries int
+}
+
+// Serving edges, indexing the admission gate's per-edge counters.
+const (
+	edgeHTTP = iota
+	edgeWire
+	edgeCount
+)
+
+// admission is the manager's one admission gate for both serving edges:
+// the per-tenant rate limiter, one set of buckets whatever edge a request
+// arrives on, and the in-flight cap, which each edge counts on its own.
+// Open fixes its configuration.
+type admission struct {
+	// on is false when both halves are off: an edge then pays this one
+	// branch per request.
+	on bool
+	// limiter is nil when rate limiting is off.
+	limiter *rateLimiter
+	// maxInFlight is each edge's cap; 0 means unlimited.
+	maxInFlight int64
+	inFlight    [edgeCount]atomic.Int64
+	shed        [edgeCount]atomic.Uint64
+}
+
+// limit charges tenant one token. A failure with a code is the
+// rate_limited rejection to send instead of serving the request: the
+// tenant and its rate, and a retry hint of the refill wait rounded up to
+// whole seconds (at least one).
+func (g *admission) limit(tenant string) failure {
+	if g.limiter == nil {
+		return failure{}
+	}
+	ok, wait := g.limiter.allow(tenant)
+	if ok {
+		return failure{}
+	}
+	secs := uint64(math.Ceil(wait.Seconds()))
+	if secs < 1 {
+		secs = 1
+	}
+	if tenant == "" {
+		tenant = "default"
+	}
+	return failure{CodeRateLimited, fmt.Sprintf("tenant %q exceeded %g requests/sec", tenant, g.limiter.rate), secs}
+}
+
+// enter takes one of edge's in-flight slots. A failure with a code means
+// the request is shed with the typed, retryable unavailable error instead
+// of queueing toward collapse; it holds no slot then. Every entered
+// request must leave.
+func (g *admission) enter(edge int) failure {
+	if g.maxInFlight <= 0 {
+		return failure{}
+	}
+	if g.inFlight[edge].Add(1) > g.maxInFlight {
+		g.inFlight[edge].Add(-1)
+		g.shed[edge].Add(1)
+		return failure{CodeUnavailable, "server overloaded: in-flight cap reached, retry shortly", DefaultRetryAfterSeconds}
+	}
+	return failure{}
+}
+
+// leave gives back the slot enter took.
+func (g *admission) leave(edge int) {
+	if g.maxInFlight > 0 {
+		g.inFlight[edge].Add(-1)
+	}
 }
 
 // tokenBucket is one tenant's refillable budget.
@@ -44,21 +102,17 @@ type tokenBucket struct {
 	last   time.Time
 }
 
-// RateLimiter applies per-tenant token-bucket admission control to the
-// /v1/* API. Each tenant (the X-Tenant header; absent means the default
-// tenant) owns an independent bucket refilled continuously at Rate
-// requests/second up to Burst. Rejected requests get a JSON 429 with a
-// Retry-After header. Liveness endpoints outside /v1/ are never limited.
-type RateLimiter struct {
+// rateLimiter applies per-tenant token-bucket admission control. Each
+// tenant (absent means the default tenant) owns an independent bucket
+// refilled continuously at rate requests/second up to burst.
+type rateLimiter struct {
 	rate       float64
 	burst      float64
 	maxTenants int
-	maxSeries  int
 
 	mu         sync.Mutex
 	buckets    map[string]*tokenBucket
 	overflow   tokenBucket
-	rejected   uint64
 	rejectedBy map[string]uint64
 	evicted    uint64
 	lastSweep  time.Time
@@ -67,8 +121,8 @@ type RateLimiter struct {
 	now func() time.Time
 }
 
-// NewRateLimiter validates cfg and returns a ready limiter.
-func NewRateLimiter(cfg RateLimitConfig) (*RateLimiter, error) {
+// newRateLimiter validates cfg and returns a ready limiter.
+func newRateLimiter(cfg RateLimitConfig) (*rateLimiter, error) {
 	if !(cfg.Rate > 0) || math.IsInf(cfg.Rate, 0) {
 		return nil, fmt.Errorf("server: rate limit must be positive and finite, got %v", cfg.Rate)
 	}
@@ -79,19 +133,10 @@ func NewRateLimiter(cfg RateLimitConfig) (*RateLimiter, error) {
 	if !(burst >= 1) || math.IsInf(burst, 0) {
 		return nil, fmt.Errorf("server: rate-limit burst must be at least 1 request, got %v", cfg.Burst)
 	}
-	maxTenants := cfg.MaxTenants
-	if maxTenants <= 0 {
-		maxTenants = DefaultMaxTenants
-	}
-	maxSeries := cfg.MaxTenantSeries
-	if maxSeries <= 0 {
-		maxSeries = DefaultMaxTenantSeries
-	}
-	return &RateLimiter{
+	return &rateLimiter{
 		rate:       cfg.Rate,
 		burst:      burst,
-		maxTenants: maxTenants,
-		maxSeries:  maxSeries,
+		maxTenants: DefaultMaxTenants,
 		buckets:    make(map[string]*tokenBucket),
 		rejectedBy: make(map[string]uint64),
 		now:        time.Now,
@@ -102,15 +147,15 @@ func NewRateLimiter(cfg RateLimitConfig) (*RateLimiter, error) {
 // refill-to-full period. An idle-for-that-long bucket has refilled to Burst
 // and is indistinguishable from a fresh one, so evicting it changes no
 // admission decision — it only returns the tenant slot.
-func (rl *RateLimiter) idlePeriod() time.Duration {
+func (rl *rateLimiter) idlePeriod() time.Duration {
 	return time.Duration(rl.burst / rl.rate * float64(time.Second))
 }
 
 // evictIdle removes buckets idle for at least one refill-to-full period;
-// callers hold rl.mu. Without this, MaxTenants distinct tenant names ever
+// callers hold rl.mu. Without this, maxTenants distinct tenant names ever
 // seen would permanently exhaust the slots and force every NEW tenant into
 // the shared overflow bucket.
-func (rl *RateLimiter) evictIdle(now time.Time) {
+func (rl *rateLimiter) evictIdle(now time.Time) {
 	idle := rl.idlePeriod()
 	for tenant, b := range rl.buckets {
 		if now.Sub(b.last) >= idle {
@@ -121,9 +166,9 @@ func (rl *RateLimiter) evictIdle(now time.Time) {
 	rl.lastSweep = now
 }
 
-// Allow consumes one token from the tenant's bucket, reporting whether the
+// allow consumes one token from the tenant's bucket, reporting whether the
 // request may proceed and, when it may not, how long until a token refills.
-func (rl *RateLimiter) Allow(tenant string) (bool, time.Duration) {
+func (rl *rateLimiter) allow(tenant string) (bool, time.Duration) {
 	now := rl.now()
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
@@ -162,20 +207,19 @@ func (rl *RateLimiter) Allow(tenant string) (bool, time.Duration) {
 		b.tokens--
 		return true, 0
 	}
-	rl.rejected++
 	// Per-tenant rejection attribution. The key space is bounded by the
 	// SERIES cap, not the bucket cap: every key here becomes a label set
-	// on the rate-limit metric, so once maxSeries distinct tenants hold
-	// rejection counts, further new tenants aggregate under OtherTenant
-	// rather than letting a hostile client mint unbounded time series.
-	// Rejection counts are never evicted — they are cumulative history, and
-	// resetting one on idle-eviction would make the /metrics counter go
-	// backwards.
+	// on the rate-limit metric, so once DefaultMaxTenantSeries distinct
+	// tenants hold rejection counts, further new tenants aggregate under
+	// OtherTenant rather than letting a hostile client mint unbounded time
+	// series. Rejection counts are never evicted — they are cumulative
+	// history, and resetting one on idle-eviction would make the /metrics
+	// counter go backwards.
 	key := tenant
 	if key == "" {
 		key = "default"
 	}
-	if _, ok := rl.rejectedBy[key]; !ok && len(rl.rejectedBy) >= rl.maxSeries {
+	if _, ok := rl.rejectedBy[key]; !ok && len(rl.rejectedBy) >= DefaultMaxTenantSeries {
 		key = OtherTenant
 	}
 	rl.rejectedBy[key]++
@@ -183,18 +227,15 @@ func (rl *RateLimiter) Allow(tenant string) (bool, time.Duration) {
 	return false, wait
 }
 
-// Rejected returns how many requests the limiter has turned away.
-func (rl *RateLimiter) Rejected() uint64 {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	return rl.rejected
-}
-
-// RejectedByTenant returns a copy of the per-tenant rejection counts. The
-// empty tenant is reported as "default"; tenants past the MaxTenantSeries
-// cardinality cap are folded into OtherTenant ("_other"). Tenants that
-// were never rejected do not appear.
-func (rl *RateLimiter) RejectedByTenant() map[string]uint64 {
+// rejectedByTenant returns a copy of the per-tenant rejection counts. The
+// empty tenant is reported as "default"; tenants past the
+// DefaultMaxTenantSeries cardinality cap are folded into OtherTenant
+// ("_other"). Tenants that were never rejected do not appear. Nil-safe:
+// with rate limiting off it returns nil.
+func (rl *rateLimiter) rejectedByTenant() map[string]uint64 {
+	if rl == nil {
+		return nil
+	}
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	if len(rl.rejectedBy) == 0 {
@@ -205,50 +246,4 @@ func (rl *RateLimiter) RejectedByTenant() map[string]uint64 {
 		out[tenant] = n
 	}
 	return out
-}
-
-// Evicted returns how many idle tenant buckets the limiter has reclaimed.
-func (rl *RateLimiter) Evicted() uint64 {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	return rl.evicted
-}
-
-// Tenants returns how many tenant buckets are currently tracked.
-func (rl *RateLimiter) Tenants() int {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	return len(rl.buckets)
-}
-
-// Middleware wraps next with per-tenant admission control on /v1/* paths.
-func (rl *RateLimiter) Middleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		tenant := r.Header.Get(TenantHeader)
-		if ok, wait := rl.Allow(tenant); !ok {
-			// A failed write means the client is gone; unlike the API,
-			// the limiter keeps no encode-failure count.
-			_ = writeError(w, rl.rejection(tenant, wait))
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// rejection formats a refused request the same way on both edges: the
-// rate_limited code, the tenant and its rate, and a retry hint of the
-// refill wait rounded up to whole seconds (at least one).
-func (rl *RateLimiter) rejection(tenant string, wait time.Duration) failure {
-	secs := uint64(math.Ceil(wait.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	if tenant == "" {
-		tenant = "default"
-	}
-	return failure{CodeRateLimited, fmt.Sprintf("tenant %q exceeded %g requests/sec", tenant, rl.rate), secs}
 }

@@ -82,11 +82,6 @@ type ManagerConfig struct {
 	// the same Tracer in APIConfig. nil with nil Telemetry means no
 	// instrumenter is attached at all.
 	Tracer *trace.Tracer
-	// MaxTenantSeries caps per-tenant label cardinality in the telemetry
-	// collectors: past this many distinct tenants, further tenants
-	// aggregate into the OtherTenant series. 0 means
-	// DefaultMaxTenantSeries.
-	MaxTenantSeries int
 	// JournalDeadline bounds how long a request waits for its journal
 	// append before failing with the typed, retryable ErrUnavailable
 	// (HTTP 503 / wire "unavailable", with Retry-After). 0 disables the
@@ -95,6 +90,22 @@ type ManagerConfig struct {
 	// for why abandoning the wait keeps budget accounting exact. Ignored
 	// without a Store.
 	JournalDeadline time.Duration
+	// MaxInFlight caps the requests each serving edge holds at once: the
+	// HTTP API's /v1/ requests, and the wire queries read into a pass but
+	// not yet answered, across all connections. Past its edge's cap a
+	// request is load-shed with the typed, retryable "unavailable" (HTTP
+	// 503, or an error frame, with a retry hint) instead of queueing toward
+	// collapse, and counted in svt_shed_total{edge}. /healthz and /metrics
+	// are never shed. 0 means unlimited.
+	MaxInFlight int
+	// RateLimit gives every tenant one token bucket across both serving
+	// edges: each HTTP /v1/ request (tenant from the X-Tenant header) and
+	// each wire frame after the hello (tenant from the hello) spends a
+	// token. A rejected request gets the typed "rate_limited" (HTTP 429,
+	// or an error frame, with a retry hint), counted per tenant in Stats
+	// and svt_http_rate_limited_total. A zero Rate disables it; any other
+	// invalid setting fails Open.
+	RateLimit RateLimitConfig
 }
 
 // Defaults for ManagerConfig zero values.
@@ -108,8 +119,7 @@ const (
 )
 
 // OtherTenant is the label value per-tenant metric series aggregate into
-// once the tenant-cardinality cap (ManagerConfig.MaxTenantSeries,
-// RateLimitConfig.MaxTenantSeries) is reached.
+// once DefaultMaxTenantSeries distinct tenants have their own.
 const OtherTenant = "_other"
 
 // ErrTooManySessions is returned by Create when MaxSessions live sessions
@@ -175,12 +185,9 @@ type SessionManager struct {
 	waitersClosed    atomic.Bool
 	deadlineExceeded atomic.Uint64
 
-	// shedHTTP/shedWire count requests load-shed at each serving edge's
-	// in-flight cap. They live on the manager — the one object both
-	// edges share — so svt_shed_total can be a single family with an
-	// edge label on the one shared registry.
-	shedHTTP atomic.Uint64
-	shedWire atomic.Uint64
+	// gate is the admission both serving edges share: the rate limiter
+	// and the in-flight cap.
+	gate admission
 
 	// Snapshot failure accounting, surfaced in Stats: a store that can no
 	// longer compact will eventually exhaust its disk, so the operator must
@@ -195,8 +202,6 @@ type SessionManager struct {
 	// or tracing is on; traced requests read its last-flush phase
 	// breakdown to build the journal span's store children.
 	storeInst *storeTelemetry
-	// maxTenantSeries bounds per-tenant label cardinality in tenantAgg.
-	maxTenantSeries int
 	// snapLastOK is the wall-clock time (unix nanos) of the last
 	// successful snapshot, 0 before the first; SnapshotAge derives the
 	// staleness surfaced in /healthz and /metrics.
@@ -256,10 +261,15 @@ func Open(cfg ManagerConfig) (*SessionManager, error) {
 		logf:        log.Printf,
 	}
 	m.unjournaled.m = m
-	m.maxTenantSeries = cfg.MaxTenantSeries
-	if m.maxTenantSeries <= 0 {
-		m.maxTenantSeries = DefaultMaxTenantSeries
+	if cfg.RateLimit.Rate != 0 {
+		rl, err := newRateLimiter(cfg.RateLimit)
+		if err != nil {
+			return nil, err
+		}
+		m.gate.limiter = rl
 	}
+	m.gate.maxInFlight = int64(max(cfg.MaxInFlight, 0))
+	m.gate.on = m.gate.limiter != nil || m.gate.maxInFlight > 0
 	if m.store != nil && cfg.JournalDeadline > 0 {
 		m.journalDeadline = cfg.JournalDeadline
 		m.waiters = make(chan *journalWaiter, 64)
@@ -316,8 +326,8 @@ func Open(cfg ManagerConfig) (*SessionManager, error) {
 
 // NewSessionManager is the store-less constructor kept for in-memory
 // callers: it is Open with the guarantee that construction cannot fail.
-// It panics if recovery fails, which only a configured Store can cause —
-// prefer Open when cfg.Store is set.
+// It panics if Open fails, which only a configured Store or an invalid
+// RateLimit can cause — prefer Open then.
 func NewSessionManager(cfg ManagerConfig) *SessionManager {
 	m, err := Open(cfg)
 	if err != nil {

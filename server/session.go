@@ -9,6 +9,7 @@ import (
 
 	"github.com/dpgo/svt/dp"
 	"github.com/dpgo/svt/mech"
+	"github.com/dpgo/svt/wire"
 )
 
 // Mechanism names one of the interactive mechanisms a session can run. The
@@ -111,21 +112,9 @@ type QueryItem struct {
 	Buckets []int `json:"buckets,omitempty"`
 }
 
-// QueryResult is one released answer.
-type QueryResult struct {
-	// Above is the SVT indicator outcome (⊤ = true).
-	Above bool `json:"above"`
-	// Numeric reports that Value carries a released number (an ε₃ numeric
-	// release, or a mediator answer).
-	Numeric bool `json:"numeric,omitempty"`
-	// Value is the released number when Numeric is set.
-	Value float64 `json:"value,omitempty"`
-	// FromSynthetic marks a free mediator answer (no budget spent).
-	FromSynthetic bool `json:"fromSynthetic,omitempty"`
-	// Exhausted marks a mediator answer released after the update budget
-	// was spent: an unchecked synthetic estimate.
-	Exhausted bool `json:"exhausted,omitempty"`
-}
+// QueryResult is one released answer: the wire protocol's result type,
+// whose JSON tags give the HTTP body its shape.
+type QueryResult = wire.Result
 
 // BatchResult is the outcome of a (possibly single-item) query batch.
 type BatchResult struct {

@@ -50,10 +50,9 @@ type Stats struct {
 	// client's point of view). Filled by the HTTP layer; always zero when
 	// Stats is read directly off the manager.
 	EncodeFailures uint64 `json:"encodeFailures,omitempty"`
-	// RateLimited counts 429 rejections per tenant ("default" for requests
-	// without an X-Tenant header, OtherTenant past the label-cardinality
-	// cap). Filled by the HTTP layer when a rate limiter is attached;
-	// absent otherwise.
+	// RateLimited counts rate_limited rejections per tenant on both edges
+	// ("default" for requests without a tenant, OtherTenant past the
+	// label-cardinality cap); absent until a request is rejected.
 	RateLimited map[string]uint64 `json:"rateLimited,omitempty"`
 	// SnapshotAgeSeconds is seconds since the last successful
 	// journal-compaction snapshot, absent before the first success.
@@ -102,5 +101,6 @@ func (m *SessionManager) Stats() Stats {
 		secs := age.Seconds()
 		st.SnapshotAgeSeconds = &secs
 	}
+	st.RateLimited = m.gate.limiter.rejectedByTenant()
 	return st
 }

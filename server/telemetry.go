@@ -77,7 +77,7 @@ func epsilonSpent(b Budget, positives, maxPositives int, halted bool) float64 {
 // order (shard read lock, then each session's mutex) matches every other
 // session walk (collectRecords), so scrapes cannot deadlock against the
 // data path; the walk is scrape-time-only cost. Label cardinality is
-// bounded: past maxTenantSeries distinct tenants, further tenants
+// bounded: past DefaultMaxTenantSeries distinct tenants, further tenants
 // aggregate into the OtherTenant series, so a tenant-ID spray cannot
 // balloon the scrape body or the heap behind it.
 func (m *SessionManager) tenantAgg() map[string]*tenantStats {
@@ -90,7 +90,7 @@ func (m *SessionManager) tenantAgg() map[string]*tenantStats {
 				tenant = "default"
 			}
 			st := agg[tenant]
-			if st == nil && len(agg) >= m.maxTenantSeries {
+			if st == nil && len(agg) >= DefaultMaxTenantSeries {
 				tenant = OtherTenant
 				st = agg[tenant]
 			}
@@ -138,8 +138,15 @@ func (m *SessionManager) registerManagerTelemetry(reg *telemetry.Registry) *mana
 	reg.NewCollector("svt_shed_total",
 		"Requests load-shed at an in-flight cap, by serving edge.", "counter",
 		func(emit func(string, float64)) {
-			emit(telemetry.Label("edge", "http"), float64(m.shedHTTP.Load()))
-			emit(telemetry.Label("edge", "wire"), float64(m.shedWire.Load()))
+			emit(telemetry.Label("edge", "http"), float64(m.gate.shed[edgeHTTP].Load()))
+			emit(telemetry.Label("edge", "wire"), float64(m.gate.shed[edgeWire].Load()))
+		})
+	reg.NewCollector("svt_http_rate_limited_total",
+		"Requests rejected by the per-tenant rate limiter on either serving edge (HTTP 429s and wire rate_limited frames), by tenant.", "counter",
+		func(emit func(string, float64)) {
+			for tenant, n := range m.gate.limiter.rejectedByTenant() {
+				emit(telemetry.Label("tenant", tenant), float64(n))
+			}
 		})
 	reg.NewCollector("svt_journal_deadline_exceeded_total",
 		"Requests withheld because their journal append was abandoned at ManagerConfig.JournalDeadline (each failed retryable; the append itself was never acknowledged).", "counter",
@@ -428,17 +435,6 @@ func (a *API) registerAPITelemetry(reg *telemetry.Registry, patterns []string) *
 	reg.NewCollector("svt_http_encode_failures_total",
 		"Responses whose JSON encode or write failed after the status header was out.", "counter",
 		func(emit func(string, float64)) { emit("", float64(a.encodeFailures.Load())) })
-	reg.NewCollector("svt_http_rate_limited_total",
-		"Requests rejected by the per-tenant rate limiter, by tenant.", "counter",
-		func(emit func(string, float64)) {
-			rl := a.limiter.Load()
-			if rl == nil {
-				return
-			}
-			for tenant, n := range rl.RejectedByTenant() {
-				emit(telemetry.Label("tenant", tenant), float64(n))
-			}
-		})
 	return t
 }
 

@@ -233,18 +233,12 @@ func TestHealthzDegrades(t *testing.T) {
 // both GET /v1/stats and the /metrics exposition.
 func TestRateLimited429PerTenant(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	m, err := Open(ManagerConfig{SweepInterval: time.Hour, Telemetry: reg})
+	m, err := Open(ManagerConfig{SweepInterval: time.Hour, Telemetry: reg, RateLimit: RateLimitConfig{Rate: 1, Burst: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	api := NewAPI(m, APIConfig{Telemetry: reg})
-	rl, err := NewRateLimiter(RateLimitConfig{Rate: 1, Burst: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	api.SetRateLimiter(rl)
-	handler := rl.Middleware(api)
+	handler := NewAPI(m, APIConfig{Telemetry: reg})
 
 	hammer := func(tenant string, n int) int {
 		rejected := 0
@@ -287,9 +281,11 @@ func TestRateLimited429PerTenant(t *testing.T) {
 		t.Fatalf("svt_http_rate_limited_total per tenant = %v, want acme and default > 0", got)
 	}
 
-	// Same numbers through GET /v1/stats (unthrottled direct dispatch).
+	// Same numbers through GET /v1/stats, read as a tenant with budget left.
 	srec := httptest.NewRecorder()
-	api.ServeHTTP(srec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	sreq := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+	sreq.Header.Set(TenantHeader, "observer")
+	handler.ServeHTTP(srec, sreq)
 	var st Stats
 	if err := json.Unmarshal(srec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)

@@ -20,8 +20,9 @@ import (
 
 // WireServer is the binary edge: a length-prefixed frame listener
 // (svtserve -wire-addr) dispatching onto the same SessionManager as the
-// HTTP API, with full parity — per-tenant rate limiting, telemetry
-// families, trace spans through the QueryTrace seam, and the
+// HTTP API, with full parity — the manager's admission gate (one rate
+// limit budget per tenant across both edges), telemetry families, trace
+// spans through the QueryTrace seam, and the
 // journal-before-response invariant, which the wire path inherits by
 // construction because every response frame is encoded only after the
 // journal transaction carrying its request has committed.
@@ -52,8 +53,6 @@ type WireServer struct {
 	// queries is the query path shared with the HTTP edge.
 	queries queryPipeline
 	tel     *wireTelemetry
-	// limiter mirrors API.limiter: attachable after the server is serving.
-	limiter atomic.Pointer[RateLimiter]
 
 	mu     sync.Mutex
 	lns    map[net.Listener]struct{}
@@ -62,32 +61,7 @@ type WireServer struct {
 	// wg counts accept loops and connection handlers; Shutdown waits on it.
 	wg sync.WaitGroup
 
-	// inFlight counts admitted queries across every connection when
-	// cfg.MaxInFlight is set (untouched otherwise). Admission happens as a
-	// pass reads a query, release once its response payload is built.
-	inFlight atomic.Int64
-
 	logf func(format string, args ...any)
-}
-
-// admitQuery reserves an in-flight slot under cfg.MaxInFlight. A false
-// return means the query must be shed with a retryable error frame.
-func (ws *WireServer) admitQuery() bool {
-	if ws.cfg.MaxInFlight <= 0 {
-		return true
-	}
-	if ws.inFlight.Add(1) > int64(ws.cfg.MaxInFlight) {
-		ws.inFlight.Add(-1)
-		ws.mgr.shedWire.Add(1)
-		return false
-	}
-	return true
-}
-
-func (ws *WireServer) releaseQuery() {
-	if ws.cfg.MaxInFlight > 0 {
-		ws.inFlight.Add(-1)
-	}
 }
 
 // WireConfig configures the binary listener.
@@ -112,12 +86,6 @@ type WireConfig struct {
 	// forever. Before this knob only Shutdown ever set a deadline. 0
 	// disables (the historical behavior, and what latency benchmarks use).
 	IdleTimeout time.Duration
-	// MaxInFlight caps queries in flight across all connections: read into
-	// a pass but not yet answered. Past the cap the server load-sheds with
-	// a typed "unavailable" error frame carrying RetryAfterSeconds, counted
-	// in svt_shed_total{edge="wire"} — shedding, not queue collapse. 0
-	// means unlimited.
-	MaxInFlight int
 }
 
 // ErrWireServerClosed is returned by Serve after Shutdown, mirroring
@@ -147,14 +115,6 @@ func NewWireServer(mgr *SessionManager, cfg WireConfig) *WireServer {
 		ws.tel = registerWireTelemetry(cfg.Telemetry)
 	}
 	return ws
-}
-
-// SetRateLimiter attaches the per-tenant limiter — normally the same one
-// whose Middleware wraps the HTTP API, so both edges share one budget. A
-// rejected wire request gets the typed rate_limited error frame with the
-// same retry-after computation as the HTTP 429.
-func (ws *WireServer) SetRateLimiter(rl *RateLimiter) {
-	ws.limiter.Store(rl)
 }
 
 // Serve accepts connections on ln until the listener fails or Shutdown
@@ -333,7 +293,6 @@ type wireScratch struct {
 	// start and sampled are a query's wire latency sample.
 	start   int64
 	sampled bool
-	wres    []wire.Result
 	out     []byte
 	corr    []byte
 }
@@ -550,15 +509,16 @@ func (c *wireConn) handleOp(op byte, reqID uint64, body []byte) error {
 	return c.answer()
 }
 
-// accept takes one frame into the pass. Queries, creates and deletes are
+// accept takes one frame into the pass, first charging it to the hello's
+// tenant at the manager's admission gate. Queries, creates and deletes are
 // queued for the pass's journal transaction; everything else journals
-// nothing and is answered in place. A non-nil error is a failed write:
-// the connection is gone.
+// nothing and is answered in place, as is a rate-limited frame. A non-nil
+// error is a failed write: the connection is gone.
 func (c *wireConn) accept(op byte, reqID uint64, body []byte) error {
-	if rl := c.srv.limiter.Load(); rl != nil {
-		if ok, wait := rl.Allow(c.tenant); !ok {
+	if g := &c.srv.mgr.gate; g.on {
+		if f := g.limit(c.tenant); f.code != "" {
 			c.srv.tel.count(wireOpIndex(op), false)
-			return wire.WriteFrame(c.bw, c.sc.errorPayload(reqID, rl.rejection(c.tenant, wait)))
+			return wire.WriteFrame(c.bw, c.sc.errorPayload(reqID, f))
 		}
 	}
 	switch op {
@@ -598,19 +558,17 @@ func wireOpIndex(op byte) int {
 }
 
 // queue decodes a query, create or delete into its own pooled scratch and
-// adds it to the pass. A query past the in-flight cap, and a request that
-// fails to decode or to pass the pipeline's admission, is answered in
-// place.
+// adds it to the pass. A query shed at the wire's in-flight cap, and a
+// request that fails to decode or to pass the pipeline's admission, is
+// answered in place.
 //
 //svt:hotpath
 func (c *wireConn) queue(op byte, reqID uint64, body []byte) error {
-	if op == wire.OpQuery && !c.srv.admitQuery() {
-		// Shed with the typed retryable error rather than queueing toward
-		// collapse.
-		c.srv.tel.count(wireOpQueryIdx, false)
-		return wire.WriteFrame(c.bw, c.sc.errorPayload(reqID, failure{CodeUnavailable,
-			"server overloaded: in-flight query cap reached, retry shortly",
-			DefaultRetryAfterSeconds}))
+	if g := &c.srv.mgr.gate; op == wire.OpQuery && g.on {
+		if f := g.enter(edgeWire); f.code != "" {
+			c.srv.tel.count(wireOpQueryIdx, false)
+			return wire.WriteFrame(c.bw, c.sc.errorPayload(reqID, f))
+		}
 	}
 	sc := wireScratchPool.Get().(*wireScratch)
 	sc.op, sc.reqID = op, reqID
@@ -777,24 +735,9 @@ func (c *wireConn) queryResponse(sc *wireScratch, err error) []byte {
 		return out
 	}
 	es := q.root.StartChild("encode")
-	wres := sc.wres[:0]
-	if cap(wres) < len(res.Results) {
-		wres = make([]wire.Result, 0, len(res.Results))
-	}
-	for i := range res.Results {
-		r := &res.Results[i]
-		wres = append(wres, wire.Result{
-			Above:         r.Above,
-			Numeric:       r.Numeric,
-			FromSynthetic: r.FromSynthetic,
-			Exhausted:     r.Exhausted,
-			Value:         r.Value,
-		})
-	}
-	sc.wres = wres
 	sc.corr = append(sc.corr[:0], q.corr...)
 	out := wire.AppendHeader(sc.out[:0], wire.OpQueryOK, sc.reqID)
-	out = wire.AppendQueryOKBody(out, sc.corr, res.Halted, res.Remaining, wres)
+	out = wire.AppendQueryOKBody(out, sc.corr, res.Halted, res.Remaining, res.Results)
 	sc.out = out[:0]
 	es.End()
 	c.finishQuery(sc, out)
@@ -807,7 +750,7 @@ func (c *wireConn) queryResponse(sc *wireScratch, err error) []byte {
 //
 //svt:hotpath
 func (c *wireConn) finishQuery(sc *wireScratch, out []byte) {
-	c.srv.releaseQuery()
+	c.srv.mgr.gate.leave(edgeWire)
 	if t := c.srv.tel; t != nil {
 		t.count(wireOpQueryIdx, out[0] == wire.OpQueryOK)
 		if sc.sampled {

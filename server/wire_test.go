@@ -278,16 +278,12 @@ func TestWireErrorFrames(t *testing.T) {
 
 // TestWireRateLimitedParity: a tenant over budget gets the typed
 // rate_limited error frame with the HTTP 429's message and ceil-seconds
-// retry hint, from the same limiter instance that guards the HTTP edge.
+// retry hint, from the manager's limiter that guards the HTTP edge too.
 func TestWireRateLimitedParity(t *testing.T) {
-	m := newTestManager(t, ManagerConfig{})
-	rl, err := NewRateLimiter(RateLimitConfig{Rate: 0.5, Burst: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := NewWireServer(m, WireConfig{})
-	ws.SetRateLimiter(rl)
-	addr := startWireServer(t, ws)
+	m := newTestManager(t, ManagerConfig{RateLimit: RateLimitConfig{Rate: 0.5, Burst: 1}})
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	m.gate.limiter.now = clk.now
+	addr := startWireServer(t, NewWireServer(m, WireConfig{}))
 	s := mustCreate(t, m, sparseParams())
 	tc := dialWire(t, addr, "acme", "")
 
@@ -305,7 +301,7 @@ func TestWireRateLimitedParity(t *testing.T) {
 		t.Fatalf("retry-after %d, want >= 1", ef.RetryAfterSeconds)
 	}
 	// The connection survives a rejection; budget refills.
-	time.Sleep(2100 * time.Millisecond)
+	clk.advance(2100 * time.Millisecond)
 	if _, ef := tc.query(s.ID(), "", sureNegativeWire()); ef != nil {
 		t.Fatalf("request after refill rejected: %+v", ef)
 	}
@@ -667,15 +663,19 @@ func TestWireQueryHotPathAllocs(t *testing.T) {
 			t.Fatalf("single-query WAL wire path allocates %.1f/op, budget %d", got, budget)
 		}
 	})
-	// Journal deadline armed but never firing: the pooled waiter path
-	// must keep the wire edge inside the same 6-alloc pin.
+	// Journal deadline and admission gate armed but never firing: the
+	// pooled waiter path, the in-flight count and the tenant's bucket must
+	// keep the wire edge inside the same 6-alloc pin.
 	t.Run("wal+deadline", func(t *testing.T) {
 		st, err := store.NewWAL(store.WALConfig{Dir: t.TempDir(), Sync: store.SyncInterval})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		m, err := Open(ManagerConfig{SweepInterval: time.Hour, SnapshotInterval: -1, Store: st, JournalDeadline: time.Minute})
+		m, err := Open(ManagerConfig{
+			SweepInterval: time.Hour, SnapshotInterval: -1, Store: st, JournalDeadline: time.Minute,
+			MaxInFlight: 1 << 20, RateLimit: RateLimitConfig{Rate: 1e12},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -933,7 +933,7 @@ func TestWireFailedPass(t *testing.T) {
 	t.Run("deadline", func(t *testing.T) {
 		sched := fault.NewSchedule(42, fault.Rule{Op: fault.OpAppendBatch, Count: 1, Stall: true})
 		const deadline = 50 * time.Millisecond
-		m := openFaultManager(t, sched, deadline)
+		m := openFaultManager(t, sched, ManagerConfig{JournalDeadline: deadline})
 		ids := make([]string, 4)
 		for i := range ids {
 			ids[i] = mustCreate(t, m, sparseParams()).ID()

@@ -37,15 +37,16 @@
 //
 //   - HTTP: svt_http_requests_total{route,class},
 //     svt_http_request_duration_seconds{route} (sampled 1-in-8),
-//     svt_http_in_flight_requests, request/response byte counters,
-//     svt_http_encode_failures_total and
-//     svt_http_rate_limited_total{tenant}.
+//     svt_http_in_flight_requests, request/response byte counters and
+//     svt_http_encode_failures_total.
 //   - Manager: svt_query_duration_seconds{mechanism} (sampled, journal
 //     wait included), svt_queries_total / svt_query_positives_total /
 //     svt_session_halts_total by mechanism, session lifecycle events,
-//     svt_sessions_live, snapshot duration and failures, and the
-//     privacy-budget gauges svt_tenant_sessions,
-//     svt_tenant_epsilon_spent and svt_tenant_sessions_near_halt.
+//     svt_sessions_live, snapshot duration and failures, the admission
+//     gate's svt_shed_total{edge} and svt_http_rate_limited_total{tenant}
+//     (rejections on both edges), and the privacy-budget gauges
+//     svt_tenant_sessions, svt_tenant_epsilon_spent and
+//     svt_tenant_sessions_near_halt.
 //   - Store: svt_store_append_duration_seconds (sampled),
 //     svt_store_commit_batch_events (group-commit batch sizes),
 //     svt_store_sync_duration_seconds, append/flush/sync/failure

@@ -430,14 +430,22 @@ const (
 // queryOKHalted is the QueryOK batch-level flag bit.
 const queryOKHalted = 1 << 0
 
-// Result is one released answer in an OpQueryOK body, mirroring the HTTP
-// API's QueryResult field for field.
+// Result is one released answer, in an OpQueryOK body and, through its
+// JSON tags, in the HTTP API's query response. The server and the client
+// packages name it QueryResult.
 type Result struct {
-	Above         bool
-	Numeric       bool
-	FromSynthetic bool
-	Exhausted     bool
-	Value         float64
+	// Above is the SVT indicator outcome (⊤ = true).
+	Above bool `json:"above"`
+	// Numeric reports that Value carries a released number (an ε₃ numeric
+	// release, or a mediator answer).
+	Numeric bool `json:"numeric,omitempty"`
+	// Value is the released number when Numeric is set.
+	Value float64 `json:"value,omitempty"`
+	// FromSynthetic marks a free mediator answer (no budget spent).
+	FromSynthetic bool `json:"fromSynthetic,omitempty"`
+	// Exhausted marks a mediator answer released after the update budget
+	// was spent: an unchecked synthetic estimate.
+	Exhausted bool `json:"exhausted,omitempty"`
 }
 
 // QueryResponse is a decoded OpQueryOK body. Corr aliases the frame
