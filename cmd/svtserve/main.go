@@ -116,7 +116,7 @@ func main() {
 		snapInt      = flag.Duration("snapshot-interval", server.DefaultSnapshotInterval, "journal-compaction snapshot cadence (<0 disables)")
 		commitWindow = flag.Duration("commit-window", 0, "group-commit gather window: the WAL flush leader waits this long so more concurrent appends share one flush/fsync (0 = flush immediately)")
 
-		rate  = flag.Float64("rate", 0, "per-tenant request rate limit in req/s on /v1/* (0 = disabled)")
+		rate  = flag.Float64("rate", 0, "per-tenant rate limit in req/s: one budget per tenant across HTTP /v1/* requests and wire frames after the hello (0 = disabled)")
 		burst = flag.Float64("burst", 0, "rate-limit burst depth (0 = max(rate, 1))")
 
 		journalDeadlineMS = flag.Int("journal-deadline-ms", 0, "journal-append wait deadline in milliseconds: a store stalled past it fails the request with a retryable 503 \"unavailable\" instead of hanging (0 = wait forever)")

@@ -43,9 +43,9 @@
 // session expiry, per-session (ε₁, ε₂, ε₃) budget accounting) served by
 // cmd/svtserve; the store subpackage gives it durable, crash-recoverable
 // session persistence (a write-ahead log with snapshot compaction,
-// mmap-backed appends and group commit — store.BatchAppender journals a
-// multi-event transition as one crash-atomic unit), so spent privacy
-// budget survives restarts at a per-query cost small enough for
+// mmap-backed appends and group commit — every store's AppendBatch
+// journals a multi-event transition as one crash-atomic unit), so spent
+// privacy budget survives restarts at a per-query cost small enough for
 // million-query-per-second serving. The wire subpackage defines a
 // length-prefixed binary protocol for the query hot path (svtserve
 // -wire-addr serves it alongside HTTP), and the client subpackage is its

@@ -19,17 +19,4 @@
 //     a Stall blocks until Schedule.Release, not until a deadline, so a
 //     test decides exactly when the world unsticks. This also keeps the
 //     package clean under the hotclock analyzer — no time.Now anywhere.
-//
-// # Capability forwarding
-//
-// Servers probe optional store capabilities (store.BatchAppender,
-// store.Rotator, store.Healther, store.Instrumented) by type assertion,
-// so a wrapper that unconditionally implemented them all would
-// mis-advertise. Wrap therefore composes the returned value from the
-// inner store's actual capability set: AppendBatch and Rotate are only
-// present when the inner store has them (store.AppendAll falls back to
-// sequential Appends — each of which is faultable — otherwise), while
-// Health and SetInstrumenter always forward when possible and degrade to
-// a synthetic healthy report / a dropped instrumenter when the inner
-// store lacks them.
 package fault

@@ -14,10 +14,10 @@ type Op uint8
 const (
 	// OpAppend matches Store.Append.
 	OpAppend Op = iota
-	// OpAppendBatch matches Store.AppendBatch (the store.AppendAll path
-	// when the inner store is a BatchAppender).
+	// OpAppendBatch matches Store.AppendBatch.
 	OpAppendBatch
-	// OpSnapshot matches Store.Snapshot.
+	// OpSnapshot matches Commit on a Rotation that Store.Rotate returned:
+	// the snapshot's baseline write. Rotate itself is never faulted.
 	OpSnapshot
 	// OpRecover matches Store.Recover.
 	OpRecover
@@ -193,31 +193,17 @@ func (s *Schedule) step(op Op) error {
 	return err
 }
 
-// Store wraps an inner store.SessionStore with scheduled faults. Build
-// one with Wrap, which composes the optional capability set to mirror
-// the inner store's.
+// Store wraps an inner store.SessionStore with scheduled faults.
 type Store struct {
 	inner store.SessionStore
 	sched *Schedule
 }
 
-// Wrap returns a faulting view of inner driven by sched. The returned
-// store advertises BatchAppender and Rotator only when inner does, so
-// server capability probes see the same shape they would unwrapped.
-func Wrap(inner store.SessionStore, sched *Schedule) store.SessionStore {
-	s := &Store{inner: inner, sched: sched}
-	_, hasBatch := inner.(store.BatchAppender)
-	_, hasRot := inner.(store.Rotator)
-	switch {
-	case hasBatch && hasRot:
-		return &batchRotatorStore{s}
-	case hasBatch:
-		return &batchStore{s}
-	case hasRot:
-		return &rotatorStore{s}
-	default:
-		return s
-	}
+var _ store.SessionStore = (*Store)(nil)
+
+// Wrap returns a faulting view of inner driven by sched.
+func Wrap(inner store.SessionStore, sched *Schedule) *Store {
+	return &Store{inner: inner, sched: sched}
 }
 
 // Append forwards to the inner store unless an OpAppend rule fires.
@@ -228,12 +214,23 @@ func (s *Store) Append(ev store.Event) error {
 	return s.inner.Append(ev)
 }
 
-// Snapshot forwards to the inner store unless an OpSnapshot rule fires.
-func (s *Store) Snapshot(evs []store.Event) error {
-	if err := s.sched.step(OpSnapshot); err != nil {
+// AppendBatch forwards to the inner store unless an OpAppendBatch rule
+// fires.
+func (s *Store) AppendBatch(evs []store.Event) error {
+	if err := s.sched.step(OpAppendBatch); err != nil {
 		return err
 	}
-	return s.inner.Snapshot(evs)
+	return s.inner.AppendBatch(evs)
+}
+
+// Rotate forwards to the inner store untouched; OpSnapshot rules apply to
+// the returned rotation's Commit.
+func (s *Store) Rotate() (store.Rotation, error) {
+	rot, err := s.inner.Rotate()
+	if err != nil {
+		return nil, err
+	}
+	return &rotation{inner: rot, sched: s.sched}, nil
 }
 
 // Recover forwards to the inner store unless an OpRecover rule fires.
@@ -244,62 +241,32 @@ func (s *Store) Recover() ([]store.Event, error) {
 	return s.inner.Recover()
 }
 
+// Health forwards the inner store's report.
+func (s *Store) Health() store.Health { return s.inner.Health() }
+
+// SetInstrumenter forwards to the inner store.
+func (s *Store) SetInstrumenter(i store.Instrumenter) { s.inner.SetInstrumenter(i) }
+
 // Close always forwards: a chaos test must be able to shut the real
 // store down even mid-script.
 func (s *Store) Close() error { return s.inner.Close() }
 
-// appendBatch applies OpAppendBatch rules, then forwards to the inner
-// BatchAppender. Only reachable through the batch-capable wrappers.
-func (s *Store) appendBatch(evs []store.Event) error {
-	if err := s.sched.step(OpAppendBatch); err != nil {
+// rotation is the faulting view of an inner store's rotation.
+type rotation struct {
+	inner store.Rotation
+	sched *Schedule
+}
+
+// Commit forwards to the inner rotation unless an OpSnapshot rule fires.
+// A stall blocks until Schedule.Release; an injected error aborts the
+// inner rotation, which must see exactly one of Commit or Abort.
+func (r *rotation) Commit(state []store.Event) error {
+	if err := r.sched.step(OpSnapshot); err != nil {
+		r.inner.Abort()
 		return err
 	}
-	return s.inner.(store.BatchAppender).AppendBatch(evs)
+	return r.inner.Commit(state)
 }
 
-// rotate forwards rotation untouched: rotation is the snapshot commit
-// protocol, and tearing it is the inner store's crash tests' job.
-func (s *Store) rotate() (store.Rotation, error) {
-	return s.inner.(store.Rotator).Rotate()
-}
-
-// Health forwards the inner report, or synthesizes a healthy one naming
-// the wrapper when the inner store is not a Healther.
-func (s *Store) Health() store.Health {
-	if h, ok := s.inner.(store.Healther); ok {
-		return h.Health()
-	}
-	return store.Health{Backend: "fault"}
-}
-
-// SetInstrumenter forwards when the inner store supports sampling;
-// otherwise the instrumenter is dropped (documented degradation).
-func (s *Store) SetInstrumenter(i store.Instrumenter) {
-	if in, ok := s.inner.(store.Instrumented); ok {
-		in.SetInstrumenter(i)
-	}
-}
-
-// The capability-composed wrapper shapes Wrap hands out.
-type batchStore struct{ *Store }
-
-func (b *batchStore) AppendBatch(evs []store.Event) error { return b.appendBatch(evs) }
-
-type rotatorStore struct{ *Store }
-
-func (r *rotatorStore) Rotate() (store.Rotation, error) { return r.rotate() }
-
-type batchRotatorStore struct{ *Store }
-
-func (x *batchRotatorStore) AppendBatch(evs []store.Event) error { return x.appendBatch(evs) }
-func (x *batchRotatorStore) Rotate() (store.Rotation, error)     { return x.rotate() }
-
-var (
-	_ store.SessionStore  = (*Store)(nil)
-	_ store.Healther      = (*Store)(nil)
-	_ store.Instrumented  = (*Store)(nil)
-	_ store.BatchAppender = (*batchStore)(nil)
-	_ store.Rotator       = (*rotatorStore)(nil)
-	_ store.BatchAppender = (*batchRotatorStore)(nil)
-	_ store.Rotator       = (*batchRotatorStore)(nil)
-)
+// Abort forwards to the inner rotation.
+func (r *rotation) Abort() { r.inner.Abort() }

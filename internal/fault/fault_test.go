@@ -86,62 +86,68 @@ func TestStallBlocksUntilRelease(t *testing.T) {
 	}
 }
 
-// TestWrapMirrorsCapabilities pins the capability-forwarding contract:
-// the wrapper advertises exactly what the inner store does.
+// TestWrapMirrorsCapabilities pins the forwarding contract: Health,
+// SetInstrumenter and a rotation's Commit reach the inner store.
 func TestWrapMirrorsCapabilities(t *testing.T) {
-	s := NewSchedule(1)
+	st := Wrap(store.NewMem(), NewSchedule(1))
 
-	mem := Wrap(store.NewMem(), s) // Mem: batch + health + instrumented, no rotator
-	if _, ok := mem.(store.BatchAppender); !ok {
-		t.Fatal("wrapped Mem lost BatchAppender")
+	inst := &recoveryCount{}
+	st.SetInstrumenter(inst)
+	if inst.calls != 1 {
+		t.Fatalf("inner store reported %d recoveries to the instrumenter, want 1", inst.calls)
 	}
-	if _, ok := mem.(store.Rotator); ok {
-		t.Fatal("wrapped Mem gained Rotator")
+	rot, err := st.Rotate()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h, ok := mem.(store.Healther); !ok || h.Health().Backend != "mem" {
-		t.Fatalf("wrapped Mem health not forwarded: %v", ok)
+	if err := rot.Commit(nil); err != nil {
+		t.Fatal(err)
 	}
+	if h := st.Health(); h.Backend != "mem" || h.Snapshots != 1 {
+		t.Fatalf("wrapped health = %+v, want the inner Mem's with one snapshot", h)
+	}
+}
 
+// recoveryCount is an Instrumenter that counts RecoveryObserved calls,
+// which a store makes once when the instrumenter is attached.
+type recoveryCount struct{ calls int }
+
+func (*recoveryCount) AppendSampled(time.Duration, uint64) {}
+func (*recoveryCount) FlushObserved(store.Flush)           {}
+func (r *recoveryCount) RecoveryObserved(time.Duration, int) {
+	r.calls++
+}
+
+// TestSnapshotErrorAbortsRotation: an injected commit failure aborts the
+// inner rotation, so the inner store takes the next snapshot.
+func TestSnapshotErrorAbortsRotation(t *testing.T) {
 	wal, err := store.NewWAL(store.WALConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wal.Close()
-	fw := Wrap(wal, s)
-	if _, ok := fw.(store.Rotator); !ok {
-		t.Fatal("wrapped WAL lost Rotator")
+	st := Wrap(wal, NewSchedule(1, Rule{Op: OpSnapshot, Count: 1, Err: ErrInjected}))
+	for i, want := range []error{ErrInjected, nil} {
+		rot, err := st.Rotate()
+		if err != nil {
+			t.Fatalf("rotation %d: %v", i+1, err)
+		}
+		if err := rot.Commit(nil); !errors.Is(err, want) {
+			t.Fatalf("commit %d = %v, want %v", i+1, err, want)
+		}
 	}
-	if _, ok := fw.(store.BatchAppender); !ok {
-		t.Fatal("wrapped WAL lost BatchAppender")
-	}
-
-	bare := Wrap(bareStore{}, s) // core-only inner: nothing extra advertised
-	if _, ok := bare.(store.BatchAppender); ok {
-		t.Fatal("bare wrapper gained BatchAppender")
-	}
-	if _, ok := bare.(store.Rotator); ok {
-		t.Fatal("bare wrapper gained Rotator")
-	}
-	if h := bare.(store.Healther).Health(); h.Backend != "fault" {
-		t.Fatalf("bare health backend = %q, want synthetic fault", h.Backend)
+	if h := wal.Health(); h.Snapshots != 1 {
+		t.Fatalf("WAL snapshots = %d, want 1", h.Snapshots)
 	}
 }
-
-// bareStore implements only the core SessionStore surface.
-type bareStore struct{}
-
-func (bareStore) Append(store.Event) error        { return nil }
-func (bareStore) Snapshot([]store.Event) error    { return nil }
-func (bareStore) Recover() ([]store.Event, error) { return nil, nil }
-func (bareStore) Close() error                    { return nil }
 
 func TestBatchPathFaults(t *testing.T) {
 	boom := errors.New("batch boom")
 	s := NewSchedule(1, Rule{Op: OpAppendBatch, Err: boom})
 	st := Wrap(store.NewMem(), s)
 	evs := []store.Event{{Kind: 1, ID: "a"}, {Kind: 1, ID: "b"}}
-	if err := store.AppendAll(st, evs); !errors.Is(err, boom) {
-		t.Fatalf("AppendAll through batch wrapper = %v, want boom", err)
+	if err := st.AppendBatch(evs); !errors.Is(err, boom) {
+		t.Fatalf("AppendBatch through the wrapper = %v, want boom", err)
 	}
 	if got := s.Calls(OpAppendBatch); got != 1 {
 		t.Fatalf("batch calls = %d, want 1", got)

@@ -10,10 +10,12 @@ import (
 	"github.com/dpgo/svt/lint/analysis"
 )
 
-// appendLikeMethods are the SessionStore entry points whose Event arguments
-// the caller's pooled encoders reuse as soon as the call returns.
+// appendLikeMethods are the store entry points whose Event arguments the
+// caller's pooled encoders reuse as soon as the call returns: the
+// SessionStore appends, the one-phase Snapshot convenience and
+// Rotation.Commit, which carries every snapshot's baseline.
 var appendLikeMethods = map[string]bool{
-	"Append": true, "AppendAll": true, "AppendBatch": true, "Snapshot": true,
+	"Append": true, "AppendBatch": true, "Snapshot": true, "Commit": true,
 }
 
 // Noretain enforces the store contract from server/persist.go: Append-family
@@ -21,7 +23,7 @@ var appendLikeMethods = map[string]bool{
 // call without copying.
 var Noretain = &analysis.Analyzer{
 	Name: "noretain",
-	Doc: `SessionStore Append/AppendAll/AppendBatch/Snapshot must not retain Event.Data
+	Doc: `store Append/AppendBatch/Snapshot and Rotation.Commit must not retain Event.Data
 
 The server journals through pooled encoders: the []byte behind Event.Data is
 returned to a sync.Pool the moment the store call returns, so any backend

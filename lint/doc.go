@@ -25,9 +25,10 @@
 //     mechanism-name string sets; everything goes through the mech.Instance
 //     seam and the registry. Guards the PR-4 registry invariant that adding
 //     a mechanism never edits server code.
-//   - noretain — store backends' Append/AppendAll implementations must not
-//     retain Event.Data beyond the call without copying; callers recycle
-//     those buffers through pools. Guards the pooled-encoder contract.
+//   - noretain — store backends' Append, AppendBatch, Snapshot and
+//     Rotation.Commit implementations must not retain Event.Data beyond
+//     the call without copying; callers recycle those buffers through
+//     pools. Guards the pooled-encoder contract.
 //   - seededrand — privacy-critical packages draw noise only through
 //     internal/rng.Source, never math/rand, math/rand/v2 or crypto/rand
 //     directly. Guards seeded-replay crash recovery: a stray generator

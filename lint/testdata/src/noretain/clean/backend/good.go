@@ -42,3 +42,16 @@ func (g *Good) Snapshot(evs []store.Event) error {
 	g.buf = scratch
 	return nil
 }
+
+// goodRotation copies the snapshot baseline before keeping it.
+type goodRotation struct {
+	buf []byte
+}
+
+// Commit encodes the baseline into a buffer it owns.
+func (r *goodRotation) Commit(state []store.Event) error {
+	for _, ev := range state {
+		r.buf = append(r.buf, ev.Data...)
+	}
+	return nil
+}

@@ -41,3 +41,14 @@ func (b *Bad) Snapshot(evs []store.Event) error {
 }
 
 func stash(evs []store.Event) { _ = evs }
+
+// badRotation keeps the snapshot baseline it was asked to write.
+type badRotation struct {
+	evs []store.Event
+}
+
+// Commit stores the pooled baseline instead of encoding it.
+func (r *badRotation) Commit(state []store.Event) error {
+	r.evs = state // want `stores Event data in field evs`
+	return nil
+}

@@ -1,9 +1,10 @@
 package server
 
 // The chaos suite drives real traffic through scripted faults — stalled
-// and failing stores, torn wire connections, overload — and asserts the
-// service degrades the way the privacy invariants demand: a stalled
-// journal becomes a typed, bounded "unavailable" instead of a hang;
+// and failing stores, stalled snapshot commits, torn wire connections,
+// overload — and asserts the service degrades the way the privacy
+// invariants demand: a stalled journal becomes a typed, bounded
+// "unavailable" instead of a hang; a stalled snapshot stalls no query;
 // overload sheds instead of queueing toward collapse; the client heals
 // itself without ever double-spending budget; and after every recovery
 // the durable budget accounting matches exactly what the analyst was
@@ -109,6 +110,40 @@ func TestChaosStalledStoreDeadline(t *testing.T) {
 	sched.Release()
 	if _, err := m.Query(s.ID(), sureNegative()); err != nil {
 		t.Fatalf("query after recovery: %v", err)
+	}
+}
+
+// TestChaosSnapshotCommitDoesNotBlockQueries: a snapshot holds the journal
+// lock only to rotate the store and copy the session records, so a query
+// is answered while the snapshot's baseline write is stalled, and the
+// snapshot completes once the store unsticks.
+func TestChaosSnapshotCommitDoesNotBlockQueries(t *testing.T) {
+	// Commit #1 is Open's snapshot; commit #2 stalls.
+	sched := fault.NewSchedule(42, fault.Rule{Op: fault.OpSnapshot, After: 1, Count: 1, Stall: true})
+	m := openFaultManager(t, sched, ManagerConfig{})
+	s := mustCreate(t, m, CreateParams{Mechanism: MechSparse, Epsilon: 1, MaxPositives: 8, Seed: 7})
+
+	snapped := make(chan error, 1)
+	go func() { snapped <- m.SnapshotNow() }()
+	waitForCalls(t, sched, fault.OpSnapshot, 2)
+
+	answered := make(chan error, 1)
+	go func() {
+		_, err := m.Query(s.ID(), surePositive())
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatalf("query during a stalled snapshot commit: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("query blocked behind a stalled snapshot commit")
+	}
+
+	sched.Release()
+	if err := <-snapped; err != nil {
+		t.Fatalf("SnapshotNow after the commit was released: %v", err)
 	}
 }
 

@@ -184,12 +184,11 @@ func (w *journalWaiter) load(evs []store.Event) {
 
 // appendEvents journals evs with one store call: one event through
 // Append, so rules and instrumentation keyed on single appends keep
-// covering single requests, and several through one atomic AppendBatch
-// (sequential Appends on a store without batches). A batch too big for
-// one store record — a read pass of many pmw updates, each carrying its
-// synthetic histogram, can reach it — goes down as several batches, each
-// atomic; a failure part-way then errs only the safe way, as the
-// sequential fallback does: journaled progress for answers withheld.
+// covering single requests, and several through one atomic AppendBatch.
+// A batch too big for one store record — a read pass of many pmw updates,
+// each carrying its synthetic histogram, can reach it — goes down as
+// several batches, each atomic; a failure part-way then errs only the
+// safe way: journaled progress for answers withheld.
 func appendEvents(st store.SessionStore, evs []store.Event) error {
 	for len(evs) > 0 {
 		n := batchPrefix(evs)
@@ -197,7 +196,7 @@ func appendEvents(st store.SessionStore, evs []store.Event) error {
 		if n == 1 {
 			err = st.Append(evs[0])
 		} else {
-			err = store.AppendAll(st, evs[:n])
+			err = st.AppendBatch(evs[:n])
 		}
 		if err != nil {
 			return err

@@ -712,7 +712,7 @@ var snapEncPool = sync.Pool{New: func() any { b := make([]byte, 0, 1<<16); retur
 
 // encodeState turns collected records into snapshot events. Every record
 // is encoded into a single pooled arena; the events slice the arena, so
-// the store must not retain Event.Data past the Snapshot/Commit call (the
+// the store must not retain Event.Data past the Commit call (the
 // documented store contract). The caller invokes release once the store
 // call returns to hand the arena back to the pool.
 func encodeState(recs []collectedRecord) (state []store.Event, release func()) {
@@ -739,16 +739,14 @@ func encodeState(recs []collectedRecord) (state []store.Event, release func()) {
 }
 
 // SnapshotNow writes a full-state snapshot to the store, compacting the
-// journal. With a store that supports two-phase snapshots (store.Rotator —
-// the WAL), the journal write lock is held only to rotate to a fresh
-// segment and copy the per-session records: a consistent cut whose cost is
-// independent of any file I/O. The JSON encoding and the baseline file
-// write — the expensive, state-size-proportional part — happen outside the
-// lock, with query traffic flowing into the new segment; recovery replays
-// the committed baseline plus every newer segment, so nothing acknowledged
-// is ever lost even if the commit never lands. Stores without rotation
-// (Mem, external backends) fall back to the one-phase path under the lock.
-// It is a no-op without a store, and safe for concurrent use.
+// journal. The journal write lock is held only to rotate the store to a
+// fresh segment and copy the per-session records: a consistent cut whose
+// cost is independent of any file I/O. The encoding and the baseline write
+// — the expensive, state-size-proportional part — happen outside the lock,
+// with query traffic flowing into the new segment; recovery replays the
+// committed baseline plus every newer segment, so nothing acknowledged is
+// ever lost even if the commit never lands. It is a no-op without a store,
+// and safe for concurrent use.
 func (m *SessionManager) SnapshotNow() error {
 	if m.store == nil {
 		return nil
@@ -775,20 +773,8 @@ func (m *SessionManager) SnapshotNow() error {
 
 // snapshotNow does the work; callers hold m.snapMu.
 func (m *SessionManager) snapshotNow() error {
-	rotator, ok := m.store.(store.Rotator)
-	if !ok {
-		m.journalMu.Lock()
-		defer m.journalMu.Unlock()
-		state, release := encodeState(m.collectRecords())
-		err := m.store.Snapshot(state)
-		release()
-		if err != nil {
-			return fmt.Errorf("server: writing store snapshot: %w", err)
-		}
-		return nil
-	}
 	m.journalMu.Lock()
-	rot, err := rotator.Rotate()
+	rot, err := m.store.Rotate()
 	if err != nil {
 		m.journalMu.Unlock()
 		return fmt.Errorf("server: rotating store segment: %w", err)

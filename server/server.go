@@ -285,12 +285,8 @@ func Open(cfg ManagerConfig) (*SessionManager, error) {
 	}
 	// The store instrumenter serves two consumers: telemetry histograms
 	// and the tracer's flush-phase breakdown. Build it when either is on.
-	var instrumented store.Instrumented
 	if m.store != nil && (cfg.Telemetry != nil || cfg.Tracer != nil) {
-		if inst, ok := m.store.(store.Instrumented); ok {
-			m.storeInst = &storeTelemetry{}
-			instrumented = inst
-		}
+		m.storeInst = &storeTelemetry{}
 	}
 	if cfg.Telemetry != nil {
 		// Register before recovery so the store instrumenter is attached
@@ -299,8 +295,8 @@ func Open(cfg ManagerConfig) (*SessionManager, error) {
 		// instrumenter at attach).
 		m.tel = m.registerManagerTelemetry(cfg.Telemetry)
 	}
-	if instrumented != nil {
-		instrumented.SetInstrumenter(m.storeInst)
+	if m.storeInst != nil {
+		m.store.SetInstrumenter(m.storeInst)
 	}
 	if m.store != nil {
 		if err := m.recoverSessions(); err != nil {
@@ -417,7 +413,7 @@ func (m *SessionManager) Sweep() int {
 			for i, id := range collected {
 				evs[i] = store.Event{Kind: evExpire, ID: id}
 			}
-			_ = store.AppendAll(m.store, evs)
+			_ = m.store.AppendBatch(evs)
 		}
 	}
 	return removed
@@ -665,8 +661,8 @@ func (m *SessionManager) SnapshotAge() (time.Duration, bool) {
 // last snapshot means the journal can no longer compact. /healthz
 // degrades to 503 on either, so load balancers drain the node.
 func (m *SessionManager) HealthStatus() (bool, string) {
-	if h, ok := m.store.(store.Healther); ok {
-		if hs := h.Health(); hs.Broken {
+	if m.store != nil {
+		if hs := m.store.Health(); hs.Broken {
 			return false, "store in failed state: " + hs.LastError
 		}
 	}

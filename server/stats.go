@@ -89,8 +89,8 @@ func (m *SessionManager) Stats() Stats {
 		st.TotalQueries += n
 	}
 	st.Recovered = m.recoveredSessions
-	if h, ok := m.store.(store.Healther); ok {
-		health := h.Health()
+	if m.store != nil {
+		health := m.store.Health()
 		st.Store = &health
 	}
 	st.SnapshotFailures = m.snapFailures.Load()

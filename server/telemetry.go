@@ -336,44 +336,42 @@ func (t *storeTelemetry) register(reg *telemetry.Registry) {
 // registerStoreHealth registers the store layer's health counters,
 // mirrored as collectors off the store's Health snapshot.
 func registerStoreHealth(reg *telemetry.Registry, st store.SessionStore) {
-	if h, ok := st.(store.Healther); ok {
-		counter := func(name, help string, v func(store.Health) float64) {
-			reg.NewCollector(name, help, "counter",
-				func(emit func(string, float64)) { emit("", v(h.Health())) })
-		}
-		gauge := func(name, help string, v func(store.Health) float64) {
-			reg.NewCollector(name, help, "gauge",
-				func(emit func(string, float64)) { emit("", v(h.Health())) })
-		}
-		b2f := func(b bool) float64 {
-			if b {
-				return 1
-			}
-			return 0
-		}
-		counter("svt_store_appends_total", "Successful journal appends.",
-			func(h store.Health) float64 { return float64(h.Appends) })
-		counter("svt_store_appended_bytes_total", "Record bytes journaled.",
-			func(h store.Health) float64 { return float64(h.AppendedBytes) })
-		counter("svt_store_flushes_total", "Physical journal flushes; appends/flushes is the realized group-commit batching ratio.",
-			func(h store.Health) float64 { return float64(h.Flushes) })
-		counter("svt_store_syncs_total", "Durability barriers (fsync/msync).",
-			func(h store.Health) float64 { return float64(h.Syncs) })
-		counter("svt_store_failures_total", "Append, snapshot and sync failures.",
-			func(h store.Health) float64 { return float64(h.Failures) })
-		counter("svt_store_snapshots_total", "Published store snapshots.",
-			func(h store.Health) float64 { return float64(h.Snapshots) })
-		gauge("svt_store_journal_bytes", "Active journal segment size in bytes.",
-			func(h store.Health) float64 { return float64(h.JournalBytes) })
-		gauge("svt_store_segments", "Live journal segments; persistent growth means snapshots are failing.",
-			func(h store.Health) float64 { return float64(h.Segments) })
-		gauge("svt_store_mmap", "1 when the journal appends through a memory-mapped segment, 0 in write() mode.",
-			func(h store.Health) float64 { return b2f(h.Mmap) })
-		gauge("svt_store_broken", "1 when the store is in a failed state and refusing writes.",
-			func(h store.Health) float64 { return b2f(h.Broken) })
-		gauge("svt_store_recovered_events", "Events replayed by open-time recovery.",
-			func(h store.Health) float64 { return float64(h.RecoveredEvents) })
+	counter := func(name, help string, v func(store.Health) float64) {
+		reg.NewCollector(name, help, "counter",
+			func(emit func(string, float64)) { emit("", v(st.Health())) })
 	}
+	gauge := func(name, help string, v func(store.Health) float64) {
+		reg.NewCollector(name, help, "gauge",
+			func(emit func(string, float64)) { emit("", v(st.Health())) })
+	}
+	b2f := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	counter("svt_store_appends_total", "Successful journal appends.",
+		func(h store.Health) float64 { return float64(h.Appends) })
+	counter("svt_store_appended_bytes_total", "Record bytes journaled.",
+		func(h store.Health) float64 { return float64(h.AppendedBytes) })
+	counter("svt_store_flushes_total", "Physical journal flushes; appends/flushes is the realized group-commit batching ratio.",
+		func(h store.Health) float64 { return float64(h.Flushes) })
+	counter("svt_store_syncs_total", "Durability barriers (fsync/msync).",
+		func(h store.Health) float64 { return float64(h.Syncs) })
+	counter("svt_store_failures_total", "Append, snapshot and sync failures.",
+		func(h store.Health) float64 { return float64(h.Failures) })
+	counter("svt_store_snapshots_total", "Published store snapshots.",
+		func(h store.Health) float64 { return float64(h.Snapshots) })
+	gauge("svt_store_journal_bytes", "Active journal segment size in bytes.",
+		func(h store.Health) float64 { return float64(h.JournalBytes) })
+	gauge("svt_store_segments", "Live journal segments; persistent growth means snapshots are failing.",
+		func(h store.Health) float64 { return float64(h.Segments) })
+	gauge("svt_store_mmap", "1 when the journal appends through a memory-mapped segment, 0 in write() mode.",
+		func(h store.Health) float64 { return b2f(h.Mmap) })
+	gauge("svt_store_broken", "1 when the store is in a failed state and refusing writes.",
+		func(h store.Health) float64 { return b2f(h.Broken) })
+	gauge("svt_store_recovered_events", "Events replayed by open-time recovery.",
+		func(h store.Health) float64 { return float64(h.RecoveredEvents) })
 }
 
 // apiTelemetry is the HTTP layer's stored metrics. Route handles are

@@ -25,9 +25,9 @@ import (
 // they always were: a deleted session that resurrects after a restart
 // keeps its budget accounting and re-expires by TTL. Several events go
 // down as one atomic batch record, so recovery replays all of a
-// transaction or none of it; only a store without batches, or a
-// transaction too big for one record, journals it in parts, and a failure
-// part-way then errs only the safe way (see appendEvents).
+// transaction or none of it; only a transaction too big for one record
+// journals in parts, and a failure part-way then errs only the safe way
+// (see appendEvents).
 type journalTx struct {
 	m *SessionManager
 	// evs are the transaction's events; their Data is sliced out of the

@@ -70,7 +70,7 @@ func TestFaultStoreCrashMatrix(t *testing.T) {
 }
 
 // TestFaultStoreBatchCrashMatrix: the batch path through the wrapper
-// keeps AppendAll's atomicity — an injected batch failure leaves none of
+// keeps AppendBatch's atomicity — an injected batch failure leaves none of
 // the batch durable, and an acked batch survives a crash whole.
 func TestFaultStoreBatchCrashMatrix(t *testing.T) {
 	dir := t.TempDir()
@@ -89,10 +89,10 @@ func TestFaultStoreBatchCrashMatrix(t *testing.T) {
 			{Kind: 2, ID: "a", Data: []byte(tag + "-2")},
 		}
 	}
-	if err := store.AppendAll(st, batch("doomed")); !errors.Is(err, fault.ErrInjected) {
+	if err := st.AppendBatch(batch("doomed")); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("first batch = %v, want ErrInjected", err)
 	}
-	if err := store.AppendAll(st, batch("acked")); err != nil {
+	if err := st.AppendBatch(batch("acked")); err != nil {
 		t.Fatalf("second batch: %v", err)
 	}
 	// Crash without Close, reopen, recover.

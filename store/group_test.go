@@ -524,7 +524,7 @@ func TestWALCommitWindowValidation(t *testing.T) {
 // TestMemAppendBatch: the no-op backend counts batched events too.
 func TestMemAppendBatch(t *testing.T) {
 	m := NewMem()
-	if err := AppendAll(m, []Event{{Kind: 1, ID: "a"}, {Kind: 2, ID: "b"}}); err != nil {
+	if err := m.AppendBatch([]Event{{Kind: 1, ID: "a"}, {Kind: 2, ID: "b"}}); err != nil {
 		t.Fatal(err)
 	}
 	if h := m.Health(); h.Appends != 2 {

@@ -5,11 +5,10 @@ import (
 	"time"
 )
 
-// Mem is the no-op SessionStore: events are acknowledged and discarded, and
-// Recover always returns an empty stream. It preserves the historical
-// purely-in-memory behavior of the server while exercising the same
-// journaling code path as a durable backend, and it is the backend the
-// in-memory benchmarks measure.
+// Mem is the no-op SessionStore: events are acknowledged, counted and
+// discarded, and Recover always returns an empty stream. Tests use it to
+// drive the server's journaling path without a disk; serving without
+// durability passes no store at all, which skips that path.
 type Mem struct {
 	appends   atomic.Uint64
 	snapshots atomic.Uint64
@@ -26,9 +25,6 @@ type Mem struct {
 }
 
 var _ SessionStore = (*Mem)(nil)
-var _ BatchAppender = (*Mem)(nil)
-var _ Healther = (*Mem)(nil)
-var _ Instrumented = (*Mem)(nil)
 
 // NewMem returns a ready no-op store.
 func NewMem() *Mem { return &Mem{} }
@@ -74,14 +70,24 @@ func (m *Mem) AppendBatch(evs []Event) error {
 	return nil
 }
 
-// Snapshot implements SessionStore by discarding the state.
-func (m *Mem) Snapshot([]Event) error {
+// Rotate implements Rotator. Mem has no segments to rotate, so the
+// rotation only counts: Commit discards the baseline and counts one
+// snapshot, Abort counts nothing.
+func (m *Mem) Rotate() (Rotation, error) {
 	if m.closed.Load() {
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	m.snapshots.Add(1)
+	return memRotation{m}, nil
+}
+
+type memRotation struct{ m *Mem }
+
+func (r memRotation) Commit([]Event) error {
+	r.m.snapshots.Add(1)
 	return nil
 }
+
+func (memRotation) Abort() {}
 
 // Recover implements SessionStore: there is never anything to replay.
 func (m *Mem) Recover() ([]Event, error) { return nil, nil }

@@ -8,23 +8,20 @@
 //
 // The SessionStore interface is deliberately small and application-agnostic:
 // the server appends opaque Events (a kind tag, a session ID and a payload
-// it encodes itself), periodically hands the store a full-state snapshot for
-// compaction, and replays the event stream once at startup. Two backends
-// are provided:
+// it encodes itself), one at a time or as one atomic batch, periodically
+// compacts the journal with a two-phase snapshot (Rotate under the caller's
+// lock, Rotation.Commit of a full-state baseline outside it), and replays
+// the event stream once at startup. Every backend implements the whole
+// interface; nothing is optional. Two backends are provided:
 //
-//   - Mem: a no-op backend for purely in-memory serving (the historical
-//     behavior). Appends and snapshots are discarded; Recover returns
-//     nothing.
+//   - Mem: a no-op backend that tests use. Appends and snapshots are
+//     counted and discarded; Recover returns nothing.
 //   - WAL: an append-only write-ahead log of length-prefixed, CRC-checked
 //     records with periodic snapshot compaction and truncated-tail-tolerant
 //     recovery. Appends go through a memory-mapped segment on Linux (memcpy
 //     durability == unbuffered write durability, no syscall) and group
 //     commit coalesces concurrent appends into shared flushes wherever a
 //     durability round-trip is needed. See NewWAL.
-//
-// Stores may additionally implement BatchAppender to journal a multi-event
-// transition as one crash-atomic unit with one durability round-trip;
-// AppendAll is the capability-dispatching helper.
 //
 // New backends (e.g. a replicated log or a key-value store) implement
 // SessionStore and plug into server.ManagerConfig.Store without any change
@@ -50,8 +47,10 @@ type Event struct {
 }
 
 // SessionStore journals session state transitions and replays them after a
-// restart. Implementations must make Append, Snapshot and Close safe for
-// concurrent use; Recover is called once, before the first Append.
+// restart. Every backend implements all of it. Implementations must make
+// Append, AppendBatch, Rotate, Health and Close safe for concurrent use;
+// Recover is called once, before the first Append, and SetInstrumenter
+// before the store is used concurrently.
 type SessionStore interface {
 	// Append durably journals one event. The caller must not release the
 	// response that acknowledges the event's state transition until Append
@@ -60,52 +59,27 @@ type SessionStore interface {
 	// Append's return: callers are free to recycle the buffer, which is how
 	// the server keeps the query hot path allocation-free.
 	Append(ev Event) error
-	// Snapshot atomically replaces the store's recovery baseline with the
-	// given full-state events and discards the journal tail they subsume.
-	// After a crash, Recover yields the snapshot events first, then any
-	// events appended after the snapshot. Like Append, implementations must
-	// not retain the state slice or any Event.Data past Snapshot's return:
-	// the server encodes the whole baseline into one pooled arena and
-	// recycles it as soon as the call comes back.
-	Snapshot(state []Event) error
+	BatchAppender
+	Rotator
 	// Recover returns the event stream to replay: the latest snapshot's
 	// events followed by every appended event that survived, in order. It is
 	// called once before the first Append.
 	Recover() ([]Event, error)
+	Healther
+	Instrumented
 	// Close flushes and releases the store. Append after Close fails.
 	Close() error
 }
 
-// BatchAppender is the optional batched-append side of a SessionStore: one
-// call journals several events with ONE durability round-trip (for the WAL,
-// one buffered write plus at most one fsync), and the whole batch is atomic
-// on recovery — either every event replays or none does, so a crash mid-way
+// BatchAppender is the batched-append side of a SessionStore: one call
+// journals several events with ONE durability round-trip (for the WAL, one
+// buffered write plus at most one fsync), and the whole batch is atomic on
+// recovery — either every event replays or none does, so a crash mid-way
 // through a multi-event transition cannot replay half of it. The same
 // response-release contract as Append applies to the batch as a whole, and
-// ev.Data buffers must likewise not be retained. Stores without natural
-// batch support simply do not implement BatchAppender; callers fall back to
-// sequential appends (AppendAll does this automatically).
+// ev.Data buffers must likewise not be retained.
 type BatchAppender interface {
 	AppendBatch(evs []Event) error
-}
-
-// AppendAll journals evs through one atomic AppendBatch when the store
-// supports it, and as sequential Append calls otherwise (in which case a
-// crash can persist a prefix of the batch — exactly the guarantee
-// individual appends already had).
-func AppendAll(st SessionStore, evs []Event) error {
-	if len(evs) == 0 {
-		return nil
-	}
-	if ba, ok := st.(BatchAppender); ok {
-		return ba.AppendBatch(evs)
-	}
-	for _, ev := range evs {
-		if err := st.Append(ev); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Rotation is an in-progress two-phase snapshot, started by Rotator.Rotate.
@@ -115,9 +89,11 @@ type Rotation interface {
 	// publishes it, making it the new recovery baseline and discarding the
 	// journal segments it subsumes. It runs outside the store's append path:
 	// appends proceed concurrently into the segment the rotation opened.
-	// Commit carries the same retention contract as SessionStore.Snapshot:
-	// the state slice and every Event.Data are only valid for the duration
-	// of the call, because the caller encodes them in a pooled arena.
+	// After a crash, Recover yields the baseline's events first, then any
+	// events appended after the rotation. Like Append, implementations must
+	// not retain the state slice or any Event.Data past Commit's return:
+	// the caller encodes the whole baseline into one pooled arena and
+	// recycles it as soon as the call comes back.
 	Commit(state []Event) error
 	// Abort abandons the snapshot. The rotated segment stays in place — the
 	// events appended to it are replayed after the previous baseline — and a
@@ -125,14 +101,13 @@ type Rotation interface {
 	Abort()
 }
 
-// Rotator is the optional two-phase snapshot side of a SessionStore. The
-// point of the split is lock scope: Rotate is cheap (open a fresh journal
-// segment) and is called inside the caller's exclusive section that
-// guarantees a consistent cut, while Commit does the expensive
-// serialize-and-persist work outside it, so query traffic is never stalled
-// behind a full-state file write. Callers must not run two rotations
-// concurrently. Stores without natural segment support (Mem) simply do not
-// implement Rotator; callers fall back to the one-phase Snapshot.
+// Rotator is the two-phase snapshot side of a SessionStore. The point of
+// the split is lock scope:
+// Rotate is cheap (for the WAL, open a fresh journal segment) and is called
+// inside the caller's exclusive section that guarantees a consistent cut,
+// while Commit does the expensive serialize-and-persist work outside it, so
+// query traffic is never stalled behind a full-state file write. Callers
+// must not run two rotations concurrently.
 type Rotator interface {
 	Rotate() (Rotation, error)
 }
@@ -183,11 +158,10 @@ type Flush struct {
 	Sync time.Duration
 }
 
-// Instrumented is the optional instrumentation side of a SessionStore.
+// Instrumented is the instrumentation side of a SessionStore.
 // SetInstrumenter must be called before the store is used concurrently
 // (the server attaches telemetry while opening the manager, before it
-// serves traffic); passing nil detaches. Both built-in backends
-// implement it.
+// serves traffic); passing nil detaches.
 type Instrumented interface {
 	SetInstrumenter(Instrumenter)
 }
@@ -208,11 +182,11 @@ type Health struct {
 	Flushes uint64 `json:"flushes,omitempty"`
 	// Syncs counts fsync calls since open.
 	Syncs uint64 `json:"syncs"`
-	// Failures counts Append/Snapshot/sync errors since open.
+	// Failures counts append, snapshot and sync errors since open.
 	Failures uint64 `json:"failures"`
 	// LastError is the most recent failure, "" when none.
 	LastError string `json:"lastError,omitempty"`
-	// Snapshots counts successful Snapshot calls since open.
+	// Snapshots counts successful snapshot commits since open.
 	Snapshots uint64 `json:"snapshots"`
 	// SnapshotEvents is the event count of the latest snapshot.
 	SnapshotEvents uint64 `json:"snapshotEvents"`
@@ -248,8 +222,7 @@ type Health struct {
 	Broken bool `json:"broken,omitempty"`
 }
 
-// Healther is the optional health-reporting side of a SessionStore. Both
-// built-in backends implement it.
+// Healther is the health-reporting side of a SessionStore.
 type Healther interface {
 	Health() Health
 }

@@ -192,10 +192,6 @@ type WAL struct {
 }
 
 var _ SessionStore = (*WAL)(nil)
-var _ BatchAppender = (*WAL)(nil)
-var _ Healther = (*WAL)(nil)
-var _ Rotator = (*WAL)(nil)
-var _ Instrumented = (*WAL)(nil)
 
 // walBatch is one group-commit unit: the already-encoded records of every
 // caller that joined, flushed with one write. Everything is guarded by the
@@ -1089,10 +1085,10 @@ func (r *walRotation) Abort() {
 	r.w.mu.Unlock()
 }
 
-// Snapshot implements SessionStore as a one-phase convenience: rotate, then
-// immediately write and publish the baseline. Callers that need appends to
-// proceed during the baseline write use Rotate/Commit directly and collect
-// their state between the two.
+// Snapshot is a one-phase convenience: rotate, then immediately write and
+// publish the baseline. Callers that need appends to proceed during the
+// baseline write use Rotate/Commit directly and collect their state
+// between the two.
 func (w *WAL) Snapshot(state []Event) error {
 	rot, err := w.Rotate()
 	if err != nil {

@@ -744,9 +744,18 @@ func TestMemStore(t *testing.T) {
 	if err := m.Append(ev(1, "a", "x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Snapshot(nil); err != nil {
+	// A committed rotation counts one snapshot; an aborted one counts none.
+	rot, err := m.Rotate()
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := rot.Commit(nil); err != nil {
+		t.Fatal(err)
+	}
+	if rot, err = m.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	rot.Abort()
 	got, err := m.Recover()
 	if err != nil || got != nil {
 		t.Fatalf("Recover = %v, %v, want empty", got, err)
@@ -760,6 +769,9 @@ func TestMemStore(t *testing.T) {
 	}
 	if err := m.Append(ev(1, "a", "x")); err != ErrClosed {
 		t.Fatalf("Append after Close: %v, want ErrClosed", err)
+	}
+	if _, err := m.Rotate(); err != ErrClosed {
+		t.Fatalf("Rotate after Close: %v, want ErrClosed", err)
 	}
 }
 
