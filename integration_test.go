@@ -11,7 +11,6 @@ import (
 
 	svt "github.com/dpgo/svt"
 	"github.com/dpgo/svt/dataset"
-	"github.com/dpgo/svt/dp"
 	"github.com/dpgo/svt/fim"
 	"github.com/dpgo/svt/metrics"
 	"github.com/dpgo/svt/pmw"
@@ -125,51 +124,6 @@ func TestPipelinePaperOrderings(t *testing.T) {
 	// suite; here just require EM to be accurate in a budget-rich regime.
 	if em > 0.15 {
 		t.Errorf("EM SER %v too large at high budget", em)
-	}
-}
-
-// Budget accounting across a composite pipeline: an Accountant tracks a
-// selection step plus per-answer Laplace releases and refuses overspend.
-func TestPipelineBudgetAccounting(t *testing.T) {
-	acct, err := dp.NewAccountant(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const selectionEps, perAnswerEps = 0.5, 0.1
-	if err := acct.Spend(selectionEps); err != nil {
-		t.Fatal(err)
-	}
-	store, err := dataset.Generate(dataset.Zipf, 0.005, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores := store.SupportsFloat()
-	sel, err := svt.TopC(scores, svt.SelectOptions{
-		Epsilon: selectionEps, Sensitivity: 1, C: 3, Monotonic: true, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	released := 0
-	for _, idx := range sel {
-		if err := acct.Spend(perAnswerEps); err != nil {
-			if !errors.Is(err, dp.ErrBudgetExhausted) {
-				t.Fatal(err)
-			}
-			break
-		}
-		lap, err := dp.NewLaplace(perAnswerEps, 1, uint64(idx+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = lap.Release(scores[idx])
-		released++
-	}
-	if released != 3 {
-		t.Fatalf("released %d answers, want 3", released)
-	}
-	if acct.Remaining() < 0.19 || acct.Remaining() > 0.21 {
-		t.Fatalf("remaining budget %v, want 0.2", acct.Remaining())
 	}
 }
 

@@ -5,7 +5,7 @@
 //
 // A fixture tree is a directory acting as a tiny module with path "svtfix":
 // packages under it get RelPaths exactly like the real repository's, so
-// analyzer scoping logic (server/, dp/, internal/core/ …) is exercised
+// analyzer scoping logic (server/, mech/, internal/core/ …) is exercised
 // verbatim. Expectations are trailing comments of the form
 //
 //	code() // want "regexp" `second regexp`

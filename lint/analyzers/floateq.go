@@ -11,13 +11,13 @@ import (
 
 // floateqDirs are the packages doing budget/epsilon arithmetic where exact
 // float comparison is a correctness bug, not a style choice.
-var floateqDirs = []string{"dp", "mech", "audit"}
+var floateqDirs = []string{"mech", "audit"}
 
 // Floateq forbids ==/!= on floating-point values in budget-arithmetic
 // packages.
 var Floateq = &analysis.Analyzer{
 	Name: "floateq",
-	Doc: `no ==/!= on float64 values in dp/, mech/ and audit/
+	Doc: `no ==/!= on float64 values in mech/ and audit/
 
 Epsilon and budget values are accumulated floating-point sums; exact
 equality on them silently diverges after a handful of compositions (the

@@ -9,7 +9,7 @@ import (
 // privacyCriticalDirs are the module-relative directories whose code
 // performs, composes or audits differentially-private releases. "" is the
 // root svt package itself.
-var privacyCriticalDirs = []string{"", "mech", "internal/core", "dp", "variants", "pmw"}
+var privacyCriticalDirs = []string{"", "mech", "internal/core", "variants", "pmw"}
 
 // forbiddenRandImports lists the randomness sources privacy-critical code
 // must not reach directly.
@@ -26,7 +26,7 @@ var Seededrand = &analysis.Analyzer{
 	Doc: `privacy-critical packages must draw randomness only via internal/rng.Source
 
 The packages implementing mechanisms and budget accounting (the root svt
-package, mech/, internal/core/, dp/, variants/, pmw/) may not import
+package, mech/, internal/core/, variants/, pmw/) may not import
 math/rand, math/rand/v2 or crypto/rand directly. Noise drawn outside
 internal/rng.Source has no journaled seed or stream position, which breaks
 bit-identical crash replay (PR 3) and makes privacy audits unable to

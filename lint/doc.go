@@ -36,7 +36,7 @@
 //   - canonheader — literal header keys passed to http.Header Get/Set/Del/
 //     Add/Values must be in canonical MIME form; non-canonical keys pay a
 //     per-call canonicalization allocation on the hot path.
-//   - floateq — no ==/!= on floats in dp/, mech/ and audit/ non-test code;
+//   - floateq — no ==/!= on floats in mech/ and audit/ non-test code;
 //     budget arithmetic must use tolerances or sentinel helpers.
 //   - hotclock — functions (or files) marked //svt:hotpath must not call
 //     time.Now/time.Since (use telemetry.Now) or fmt.Sprint* (use pooled

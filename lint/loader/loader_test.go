@@ -56,7 +56,7 @@ func TestLoadRepoAllPackages(t *testing.T) {
 	for _, p := range pkgs {
 		rels[p.RelPath] = true
 	}
-	for _, want := range []string{"", "server", "store", "mech", "dp", "internal/rng"} {
+	for _, want := range []string{"", "server", "store", "mech", "variants", "internal/rng"} {
 		if !rels[want] {
 			t.Errorf("missing package dir %q in ./... load (got %v)", want, rels)
 		}

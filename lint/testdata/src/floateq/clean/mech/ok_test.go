@@ -1,4 +1,4 @@
-package dp
+package mech
 
 import "testing"
 

@@ -1,5 +1,5 @@
 package server
 
-// SameLatency is outside dp/, mech/ and audit/: not budget arithmetic, not
+// SameLatency is outside mech/ and audit/: not budget arithmetic, not
 // flagged.
 func SameLatency(a, b float64) bool { return a == b }

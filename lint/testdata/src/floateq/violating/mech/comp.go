@@ -1,4 +1,4 @@
-package dp
+package mech
 
 // Exhausted compares accumulated epsilon exactly: diverges after a handful
 // of compositions.

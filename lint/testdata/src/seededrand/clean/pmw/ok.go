@@ -1,4 +1,4 @@
-package dp
+package pmw
 
 import "svtfix/internal/rng"
 

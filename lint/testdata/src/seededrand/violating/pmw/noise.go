@@ -1,6 +1,6 @@
-package dp
+package pmw
 
-import "math/rand" // want `privacy-critical package "dp" imports "math/rand"`
+import "math/rand" // want `privacy-critical package "pmw" imports "math/rand"`
 
 // Noise draws unseeded, unjournaled noise: exactly the bug class seededrand
 // exists to catch.

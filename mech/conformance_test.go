@@ -194,6 +194,9 @@ func TestConformanceRestoreKeepsHalted(t *testing.T) {
 				if err := fresh.Restore(c[0], c[1]); err == nil {
 					t.Errorf("Restore(%d, %d) accepted", c[0], c[1])
 				}
+				if fresh.Halted() || fresh.Remaining() != p.MaxPositives || fresh.Answered() != 0 {
+					t.Errorf("refused Restore(%d, %d) changed the instance: halted=%v remaining=%d answered=%d", c[0], c[1], fresh.Halted(), fresh.Remaining(), fresh.Answered())
+				}
 			}
 
 			// A used instance must refuse Restore: accepting it would

@@ -292,7 +292,8 @@ func BenchmarkHTTPQueryParallelWAL(b *testing.B) {
 // BenchmarkHTTPQueryParallelWALTelemetry is HTTPQueryParallelWAL with the
 // three-layer telemetry registry attached (slow-query tracing off, as in
 // the default production configuration). The gap to the uninstrumented
-// run is the telemetry overhead, documented in README as <= 5%.
+// run is the telemetry overhead; README reports it as measured, and no
+// gate checks it yet.
 func BenchmarkHTTPQueryParallelWALTelemetry(b *testing.B) {
 	const sessions = 64
 	reg := telemetry.NewRegistry()
@@ -309,9 +310,10 @@ func BenchmarkHTTPQueryParallelWALTelemetry(b *testing.B) {
 // BenchmarkHTTPQueryParallelWALTraced is the fully observed configuration:
 // telemetry registry plus the tracer at its default 1-in-16 head sampling,
 // exactly what `svtserve` runs with out of the box. The gap to
-// HTTPQueryParallelWALTelemetry is the tracing overhead the benchgate
-// holds to <= 10%; the gap to HTTPQueryParallelWAL (no telemetry at all)
-// is the whole observability bill.
+// HTTPQueryParallelWALTelemetry is the tracing overhead; the gap to
+// HTTPQueryParallelWAL (no telemetry at all) is the whole observability
+// bill. Neither gap is gated yet: benchgate compares each row to its own
+// baseline and checks no ratio.
 func BenchmarkHTTPQueryParallelWALTraced(b *testing.B) {
 	const sessions = 64
 	reg := telemetry.NewRegistry()

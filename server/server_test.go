@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/dpgo/svt/client"
+	"github.com/dpgo/svt/mech"
 	"github.com/dpgo/svt/store"
 )
 
@@ -73,9 +74,20 @@ func TestCreateAllMechanismsBudgets(t *testing.T) {
 	}{
 		{"sparse", CreateParams{Mechanism: MechSparse, Epsilon: 1, MaxPositives: 10, Seed: 3}},
 		{"sparse-numeric", CreateParams{Mechanism: MechSparse, Epsilon: 1, MaxPositives: 10, AnswerFraction: 0.25, Seed: 3}},
+		{"esvt", CreateParams{Mechanism: mechESVT, Epsilon: 1, MaxPositives: 10, Seed: 3}},
 		{"proposed", CreateParams{Mechanism: MechProposed, Epsilon: 1, MaxPositives: 10, Seed: 3}},
 		{"dpbook", CreateParams{Mechanism: MechDPBook, Epsilon: 1, MaxPositives: 10, Seed: 3}},
 		{"pmw", pmwParams()},
+	}
+	// A newly registered mechanism fails here until it gets a row.
+	covered := make(map[Mechanism]bool)
+	for _, tc := range cases {
+		covered[tc.params.Mechanism] = true
+	}
+	for _, name := range mech.Default.Names() {
+		if !covered[Mechanism(name)] {
+			t.Errorf("registered mechanism %q has no budget row", name)
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/dpgo/svt/dp"
 	"github.com/dpgo/svt/mech"
 	"github.com/dpgo/svt/wire"
 )
@@ -132,8 +131,8 @@ type BatchResult struct {
 // Budget is the realized privacy-budget split of a session, as reported by
 // the mechanism itself: the paper's (ε₁, ε₂, ε₃) for SVT-family
 // mechanisms, the gate split plus the Laplace update-release budget for
-// mediators. Total is always their basic-composition sum
-// (dp.BasicComposition), which equals the configured session Epsilon.
+// mediators. Total is always their basic-composition sum, which equals the
+// configured session Epsilon.
 type Budget struct {
 	Eps1  float64 `json:"eps1"`
 	Eps2  float64 `json:"eps2"`
@@ -230,17 +229,15 @@ func newSession(reg *mech.Registry, id string, p CreateParams, ttl time.Duration
 	s.inst = inst
 	s.budget.Eps1, s.budget.Eps2, s.budget.Eps3 = inst.Budgets()
 
-	parts := make([]float64, 0, 3)
-	for _, e := range []float64{s.budget.Eps1, s.budget.Eps2, s.budget.Eps3} {
+	// Basic composition: the session's ε is the sum of its positive parts.
+	for _, e := range [...]float64{s.budget.Eps1, s.budget.Eps2, s.budget.Eps3} {
 		if e > 0 {
-			parts = append(parts, e)
+			s.budget.Total += e
 		}
 	}
-	total, err := dp.BasicComposition(parts...)
-	if err != nil {
-		return nil, fmt.Errorf("server: composing session budget: %w", err)
+	if !(s.budget.Total > 0) || math.IsInf(s.budget.Total, 0) {
+		return nil, fmt.Errorf("server: composing session budget: total %v must be positive and finite", s.budget.Total)
 	}
-	s.budget.Total = total
 	s.jDraws, s.jAux = inst.Draws() // construction draws are in the create record
 	s.touch(now)
 	return s, nil

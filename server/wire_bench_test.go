@@ -50,8 +50,8 @@ func BenchmarkWireQueryParallel(b *testing.B) {
 
 // BenchmarkWireQueryParallelWAL is the wire twin of
 // BenchmarkHTTPQueryParallelWAL — every answered batch journaled before
-// the response frame is encoded. The benchgate holds this at >= 2x the
-// HTTP WAL edge.
+// the response frame is encoded. The gap between the two is what the
+// binary edge saves over JSON HTTP; no gate checks that ratio yet.
 func BenchmarkWireQueryParallelWAL(b *testing.B) {
 	const sessions = 64
 	m, ids := benchManagerWAL(b, 16, sessions)

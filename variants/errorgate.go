@@ -15,9 +15,9 @@ import (
 // the first ⊤ reveals that the noisy threshold T + ρ is at most the
 // released magnitude — in particular any ⊤ at all reveals ρ ≥ −T. Once ρ
 // is (partially) public, the "negative answers are free" argument
-// collapses, the same failure mode as Algorithm 3's numeric outputs. The
-// audit package measures the leak; use svt.ErrorGate for the corrected
-// form. Research use only.
+// collapses, the same failure mode as Algorithm 3's numeric outputs.
+// TestBrokenErrorGateLeaksThresholdSign measures the leak; use
+// svt.ErrorGate for the corrected form. Research use only.
 type BrokenErrorGate struct {
 	src        *rng.Source
 	rho        float64

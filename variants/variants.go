@@ -36,95 +36,6 @@ func (s stream) Next(query, threshold float64) (svt.Result, bool) {
 
 func (s stream) Halted() bool { return s.alg.Halted() }
 
-// Restorer is the optional crash-recovery side of a Stream: Restore
-// fast-forwards the positive-outcome count of a freshly constructed stream
-// to the value journaled before a crash, so spent budget is never refreshed
-// by a restart. The differentially private streams (NewProposed, NewDPBook)
-// support it; the broken historical variants do not need to.
-type Restorer interface {
-	Restore(positives int) error
-}
-
-// recoverable is the crash-recovery side the differentially private
-// algorithms share.
-type recoverable interface {
-	Restore(answered, positives int) error
-	Draws() uint64
-	FastForward(draws uint64) error
-}
-
-// Restore implements Restorer when the wrapped algorithm supports it. It
-// fails on a used stream, one whose counters are not both zero, and for
-// positives outside [0, c].
-func (s stream) Restore(positives int) error {
-	r, ok := s.alg.(recoverable)
-	if !ok {
-		return fmt.Errorf("variants: %T does not support restore", s.alg)
-	}
-	return r.Restore(positives, positives)
-}
-
-// StreamState is the optional noise-stream side of crash recovery: Draws
-// reports the stream position (raw 64-bit draws consumed, construction
-// included) and FastForward advances a freshly rebuilt, identically seeded
-// stream to that position, discarding the skipped values. Fast-forwarding is
-// what keeps a recovered seeded stream both private and reproducible:
-// pre-crash noise is never re-emitted, yet the continuation is bit-identical
-// to an uninterrupted run. The differentially private streams (NewProposed,
-// NewDPBook) support it.
-type StreamState interface {
-	Draws() uint64
-	FastForward(draws uint64) error
-}
-
-// Draws implements StreamState when the wrapped algorithm counts draws;
-// streams that do not return 0.
-func (s stream) Draws() uint64 {
-	if r, ok := s.alg.(recoverable); ok {
-		return r.Draws()
-	}
-	return 0
-}
-
-// FastForward implements StreamState when the wrapped algorithm supports
-// it.
-func (s stream) FastForward(draws uint64) error {
-	r, ok := s.alg.(recoverable)
-	if !ok {
-		return fmt.Errorf("variants: %T does not support fast-forward", s.alg)
-	}
-	return r.FastForward(draws)
-}
-
-// RhoState is implemented by streams that can surface their noisy-threshold
-// offset ρ for crash recovery. Rho's second result reports whether ρ evolves
-// after construction and therefore must be journaled: the Dwork-Roth book
-// SVT (NewDPBook) resamples ρ on every positive outcome, so rebuilding from
-// the seed alone cannot re-derive the current value. The journal is
-// server-private state, exactly as sensitive as the seed ρ is derived from;
-// SetRho restores the journaled value after fast-forwarding.
-type RhoState interface {
-	Rho() (rho float64, evolving bool)
-	SetRho(v float64)
-}
-
-// Rho implements RhoState; evolving is false for algorithms whose ρ is fixed
-// at construction (nothing to journal — reconstruction re-derives it).
-func (s stream) Rho() (float64, bool) {
-	if r, ok := s.alg.(interface{ Rho() float64 }); ok {
-		return r.Rho(), true
-	}
-	return 0, false
-}
-
-// SetRho implements the restoring side of RhoState; it is a no-op for
-// algorithms with construction-fixed ρ.
-func (s stream) SetRho(v float64) {
-	if r, ok := s.alg.(interface{ SetRho(v float64) }); ok {
-		r.SetRho(v)
-	}
-}
-
 func check(epsilon, delta float64, c int, needC bool) error {
 	if !(epsilon > 0) || math.IsInf(epsilon, 0) {
 		return fmt.Errorf("variants: epsilon must be positive and finite, got %v", epsilon)

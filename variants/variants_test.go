@@ -114,115 +114,3 @@ func TestConstructorValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestStreamStateFastForwardAllDPVariants(t *testing.T) {
-	builders := []struct {
-		name  string
-		build func(seed uint64) (Stream, error)
-	}{
-		{"proposed", func(seed uint64) (Stream, error) { return NewProposed(1, 1, 10, seed) }},
-		{"dpbook", func(seed uint64) (Stream, error) { return NewDPBook(1, 1, 10, seed) }},
-	}
-	queries := make([]float64, 50)
-	for i := range queries {
-		queries[i] = float64(i%3) - 1
-	}
-	for _, tc := range builders {
-		t.Run(tc.name, func(t *testing.T) {
-			full, err := tc.build(17)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want []svt.Result
-			for _, q := range queries {
-				res, ok := full.Next(q, 0)
-				if !ok {
-					break
-				}
-				want = append(want, res)
-			}
-
-			// Run a twin to a crash point, capture its journaled state.
-			const kill = 12
-			if len(want) <= kill {
-				t.Fatalf("setup: only %d answers before halt", len(want))
-			}
-			crashed, err := tc.build(17)
-			if err != nil {
-				t.Fatal(err)
-			}
-			positives := 0
-			for _, q := range queries[:kill] {
-				res, ok := crashed.Next(q, 0)
-				if !ok {
-					t.Fatal("setup: halted before the crash point")
-				}
-				if res.Above {
-					positives++
-				}
-			}
-			draws := crashed.(StreamState).Draws()
-			var rho float64
-			var rhoEvolves bool
-			if rs, ok := crashed.(RhoState); ok {
-				rho, rhoEvolves = rs.Rho()
-			}
-			if tc.name == "dpbook" && !rhoEvolves {
-				t.Fatal("dpbook must report an evolving ρ")
-			}
-
-			rebuilt, err := tc.build(17)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rebuilt.(Restorer).Restore(positives); err != nil {
-				t.Fatal(err)
-			}
-			if err := rebuilt.(StreamState).FastForward(draws); err != nil {
-				t.Fatal(err)
-			}
-			if rhoEvolves {
-				rebuilt.(RhoState).SetRho(rho)
-			}
-			for i, q := range queries[kill:] {
-				res, ok := rebuilt.Next(q, 0)
-				if kill+i >= len(want) {
-					// The uninterrupted run halted here; the resumed one must too.
-					if ok {
-						t.Fatalf("resumed stream kept answering past the uninterrupted halt at %d", len(want))
-					}
-					break
-				}
-				if !ok || res != want[kill+i] {
-					t.Fatalf("answer %d diverged: got %+v ok=%v, want %+v", kill+i, res, ok, want[kill+i])
-				}
-			}
-		})
-	}
-}
-
-// TestRestoreRefusesPastCutoff: restoring more positives than the cutoff c
-// is an error, not a panic, for both differentially private streams.
-func TestRestoreRefusesPastCutoff(t *testing.T) {
-	const c = 3
-	for _, tc := range []struct {
-		name  string
-		build func() (Stream, error)
-	}{
-		{"proposed", func() (Stream, error) { return NewProposed(1, 1, c, 7) }},
-		{"dpbook", func() (Stream, error) { return NewDPBook(1, 1, c, 7) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, err := tc.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.(Restorer).Restore(c + 1); err == nil {
-				t.Fatalf("Restore(%d) past the cutoff %d accepted", c+1, c)
-			}
-			if s.Halted() {
-				t.Fatal("a refused Restore halted the stream")
-			}
-		})
-	}
-}
