@@ -2,10 +2,18 @@
 // protocol (svtserve -wire-addr). One Client owns one connection;
 // concurrent calls pipeline their requests on it and responses are
 // matched back by request ID, so a pool of goroutines sharing a Client
-// keeps the connection's pipeline full without any per-call locking
-// beyond the write mutex. Concurrent calls also share one write per
-// burst: the first caller to buffer a frame yields once so the callers
-// behind it can buffer theirs, then flushes them all in one Write.
+// keeps the connection's pipeline full. Concurrent calls also share one
+// write per burst: the first caller to buffer a frame yields once so the
+// callers behind it can buffer theirs, then flushes them all in one
+// Write.
+//
+// A Query takes the client's mutex twice (for the server's batch cap and
+// the live connection), the connection's mutex once to register its
+// request ID, and the write mutex once, or twice when it leads a flush.
+// The response reader takes the connection's mutex once per response.
+// Each call's wake channel and request and response buffers come from a
+// pool, so a steady-state Query allocates only what it returns: the
+// *BatchResult, its Results and its RequestID.
 //
 // The SDK is registry-driven: it fetches GET /v1/mechanisms' capability
 // flags over the wire (OpMechanisms) and validates CreateParams against
@@ -229,14 +237,41 @@ type clientConn struct {
 	hello wire.HelloOK
 
 	mu      sync.Mutex
-	pending map[uint64]chan roundTripResult
+	pending map[uint64]*callState
 	err     error
 	done    chan struct{}
 }
 
-type roundTripResult struct {
-	op   byte
+// callState is one call's pooled state, reused by its retries and then by
+// later calls. The reader takes it out of pending, copies the response
+// into it and sends on wake. So the call owns it again once it has
+// received the wake, or has itself removed it from pending: only then may
+// the call retry, return or recycle it.
+type callState struct {
+	// wake has one slot, so the reader's send never blocks.
+	wake chan struct{}
+	// body is the request body, encoded once per call; req is one
+	// attempt's payload: the header for its request ID, then body.
 	body []byte
+	req  []byte
+	// items is QueryID's request in wire form.
+	items []wire.QueryItem
+	// op and resp are the response: its op and a copy of its body.
+	op   byte
+	resp []byte
+}
+
+// callPool holds call states. Their buffers are bounded by the frame caps.
+var callPool = sync.Pool{New: func() any {
+	return &callState{wake: make(chan struct{}, 1)}
+}}
+
+// release recycles cs, first dropping the caller's bucket slices so the
+// pool keeps none of them alive. Nothing a call returns aliases cs.
+func (cs *callState) release() {
+	clear(cs.items)
+	cs.items = cs.items[:0]
+	callPool.Put(cs)
 }
 
 // countingWriter counts the bytes the socket accepted: the stream offset
@@ -306,7 +341,7 @@ func (c *Client) dialConn() (*clientConn, error) {
 		conn:    conn,
 		br:      bufio.NewReaderSize(conn, 16<<10),
 		out:     countingWriter{w: conn},
-		pending: make(map[uint64]chan roundTripResult),
+		pending: make(map[uint64]*callState),
 		done:    make(chan struct{}),
 	}
 	cc.bw = bufio.NewWriterSize(&cc.out, 16<<10)
@@ -417,6 +452,8 @@ func (cc *clientConn) dead() bool {
 
 // readLoop is the epoch's single response reader: it matches frames to
 // waiting calls by request ID. Responses may arrive in any order.
+//
+//svt:hotpath
 func (cc *clientConn) readLoop(maxFrame int) {
 	var buf []byte
 	for {
@@ -432,13 +469,16 @@ func (cc *clientConn) readLoop(maxFrame int) {
 			return
 		}
 		cc.mu.Lock()
-		ch := cc.pending[id]
+		cs := cc.pending[id]
 		delete(cc.pending, id)
 		cc.mu.Unlock()
-		if ch != nil {
-			// The frame buffer is reused for the next read; hand the
-			// waiter its own copy.
-			ch <- roundTripResult{op: op, body: append([]byte(nil), body...)}
+		if cs != nil {
+			// The frame buffer is reused for the next read: copy the body
+			// into the waiter's own buffer. Nothing may fail between taking
+			// cs and the wake, because a waiter that finds cs gone from
+			// pending waits for it.
+			cs.op, cs.resp = op, append(cs.resp[:0], body...)
+			cs.wake <- struct{}{}
 		}
 	}
 }
@@ -493,10 +533,10 @@ func (c *Client) Stats() Stats {
 	}
 }
 
-// roundTrip sends one request payload on this epoch and waits for its
-// response frame. sent reports whether the frame could have reached the
-// server; a false return proves the request never executed, which makes
-// retrying safe for any operation.
+// roundTrip sends cs.req, whose request ID is id, on this epoch and waits
+// until the response is in cs. sent reports whether the frame could have
+// reached the server; a false return proves the request never executed,
+// which makes retrying safe for any operation.
 //
 // The frame is buffered under wmu. The first caller to buffer one while
 // no flush is pending leads: it yields once, so runnable callers can
@@ -507,15 +547,16 @@ func (c *Client) Stats() Stats {
 // response arrives, the frame counts as sent iff the kernel accepted the
 // stream up to that offset. A partial frame is dropped by the server's
 // codec, never executed.
-func (cc *clientConn) roundTrip(id uint64, payload []byte) (res roundTripResult, sent bool, err error) {
-	ch := make(chan roundTripResult, 1)
+//
+//svt:hotpath
+func (cc *clientConn) roundTrip(id uint64, cs *callState) (sent bool, err error) {
 	cc.mu.Lock()
 	if cc.err != nil {
 		err := cc.err
 		cc.mu.Unlock()
-		return roundTripResult{}, false, err
+		return false, err
 	}
-	cc.pending[id] = ch
+	cc.pending[id] = cs
 	cc.mu.Unlock()
 
 	// No write starts on a dead epoch, so once it dies the accepted count
@@ -524,8 +565,8 @@ func (cc *clientConn) roundTrip(id uint64, payload []byte) (res roundTripResult,
 	lead := false
 	cc.wmu.Lock()
 	if !cc.dead() {
-		end = cc.out.n + int64(cc.bw.Buffered()) + frameLen(payload)
-		if werr := wire.WriteFrame(cc.bw, payload); werr != nil {
+		end = cc.out.n + int64(cc.bw.Buffered()) + frameLen(cs.req)
+		if werr := wire.WriteFrame(cc.bw, cs.req); werr != nil {
 			// A write failure poisons the shared buffered writer; kill
 			// the epoch so other pipelined calls fail over too.
 			cc.close(werr)
@@ -547,27 +588,28 @@ func (cc *clientConn) roundTrip(id uint64, payload []byte) (res roundTripResult,
 	}
 
 	select {
-	case res := <-ch:
-		return res, true, nil
+	case <-cs.wake:
+		return true, nil
 	case <-cc.done:
-		// The response may have been delivered concurrently with the
-		// epoch dying; prefer it over reporting ambiguity.
-		select {
-		case res := <-ch:
-			return res, true, nil
-		default:
-		}
 	}
 	cc.mu.Lock()
 	err = cc.err
+	_, unanswered := cc.pending[id]
 	delete(cc.pending, id)
 	cc.mu.Unlock()
+	if !unanswered {
+		// The reader took cs before the epoch died and is copying the
+		// response in. Wait for it: the answer beats reporting ambiguity,
+		// and cs must not be reused while the reader writes to it.
+		<-cs.wake
+		return true, nil
+	}
 	// Taking wmu waits out any flush still in progress (close unblocks
 	// it), so the count read here is final.
 	cc.wmu.Lock()
 	sent = cc.out.n >= end
 	cc.wmu.Unlock()
-	return roundTripResult{}, sent, err
+	return sent, err
 }
 
 // opKind classifies calls for retry purposes.
@@ -638,10 +680,13 @@ func (c *Client) sleep(d time.Duration) bool {
 	}
 }
 
-// call runs one logical request through the retry loop: get (or
-// re-dial) a connection, round-trip, classify the failure, back off,
-// repeat within the policy's attempt budget.
-func (c *Client) call(kind opKind, want byte, build func(id uint64) []byte) ([]byte, error) {
+// call runs one logical request, an op with cs.body as its body, through
+// the retry loop: get (or re-dial) a connection, round-trip, classify the
+// failure, back off, repeat within the policy's attempt budget. Every
+// attempt takes a fresh request ID. The returned body aliases cs.resp.
+//
+//svt:hotpath
+func (c *Client) call(cs *callState, kind opKind, op, want byte) ([]byte, error) {
 	pol := c.policy
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
@@ -660,9 +705,10 @@ func (c *Client) call(kind opKind, want byte, build func(id uint64) []byte) ([]b
 			continue
 		}
 		id := c.nextID.Add(1)
-		res, sent, err := cc.roundTrip(id, build(id))
+		cs.req = append(wire.AppendHeader(cs.req[:0], op, id), cs.body...)
+		sent, err := cc.roundTrip(id, cs)
 		if err == nil {
-			body, aerr := expect(res, want)
+			body, aerr := expect(cs.op, cs.resp, want)
 			if aerr == nil {
 				return body, nil
 			}
@@ -703,20 +749,30 @@ func decodeAPIError(body []byte) error {
 	return &APIError{
 		Code:       ef.Code,
 		Message:    ef.Message,
-		RetryAfter: time.Duration(ef.RetryAfterSeconds) * time.Second,
+		RetryAfter: retryAfter(ef.RetryAfterSeconds),
 	}
+}
+
+// retryAfter converts a retry hint in seconds to a Duration, saturating
+// where the product would overflow: a hint too long for a Duration
+// exceeds every MaxRetryAfter, so the error reaches the caller.
+func retryAfter(secs uint64) time.Duration {
+	if secs > uint64(math.MaxInt64/time.Second) {
+		return math.MaxInt64
+	}
+	return time.Duration(secs) * time.Second
 }
 
 // expect unwraps a response: the wanted op's body, a typed APIError, or
 // a protocol error.
-func expect(res roundTripResult, op byte) ([]byte, error) {
-	switch res.op {
-	case op:
-		return res.body, nil
+func expect(op byte, body []byte, want byte) ([]byte, error) {
+	switch op {
+	case want:
+		return body, nil
 	case wire.OpError:
-		return nil, decodeAPIError(res.body)
+		return nil, decodeAPIError(body)
 	default:
-		return nil, fmt.Errorf("client: unexpected response op %#x, want %#x", res.op, op)
+		return nil, fmt.Errorf("client: unexpected response op %#x, want %#x", op, want)
 	}
 }
 
@@ -737,9 +793,10 @@ func (c *Client) mechanismTable() ([]MechanismInfo, error) {
 	if c.mechs != nil {
 		return c.mechs, nil
 	}
-	body, err := c.call(opIdempotent, wire.OpMechanismsOK, func(id uint64) []byte {
-		return wire.AppendHeader(nil, wire.OpMechanisms, id)
-	})
+	cs := callPool.Get().(*callState)
+	defer cs.release()
+	cs.body = cs.body[:0]
+	body, err := c.call(cs, opIdempotent, wire.OpMechanisms, wire.OpMechanismsOK)
 	if err != nil {
 		return nil, err
 	}
@@ -798,9 +855,10 @@ func (c *Client) Create(params CreateParams) (*CreateResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	respBody, err := c.call(opMutating, wire.OpCreateOK, func(id uint64) []byte {
-		return append(wire.AppendHeader(nil, wire.OpCreate, id), body...)
-	})
+	cs := callPool.Get().(*callState)
+	defer cs.release()
+	cs.body = append(cs.body[:0], body...)
+	respBody, err := c.call(cs, opMutating, wire.OpCreate, wire.OpCreateOK)
 	if err != nil {
 		return nil, err
 	}
@@ -825,24 +883,28 @@ func (c *Client) Query(session string, items []QueryItem) (*BatchResult, error) 
 // with ErrAmbiguous and is never auto-retried: the server may have
 // answered it (journaling the budget spend), and re-asking would spend
 // budget again. Check Status to disambiguate.
+//
+//svt:hotpath
 func (c *Client) QueryID(session, requestID string, items []QueryItem) (*BatchResult, error) {
 	if max := c.ServerMaxBatch(); max > 0 && len(items) > max {
 		return nil, fmt.Errorf("client: batch of %d exceeds the server cap of %d", len(items), max)
 	}
-	witems := make([]wire.QueryItem, len(items))
-	for i, it := range items {
-		witems[i] = wire.QueryItem{Query: it.Query, Buckets: it.Buckets}
+	cs := callPool.Get().(*callState)
+	defer cs.release()
+	for _, it := range items {
+		wi := wire.QueryItem{Query: it.Query, Buckets: it.Buckets}
 		if it.Threshold != nil {
-			witems[i].Threshold = *it.Threshold
-			witems[i].HasThreshold = true
+			wi.Threshold, wi.HasThreshold = *it.Threshold, true
 		}
+		cs.items = append(cs.items, wi)
 	}
-	body, err := c.call(opMutating, wire.OpQueryOK, func(id uint64) []byte {
-		return wire.AppendQueryBody(wire.AppendHeader(nil, wire.OpQuery, id), session, requestID, witems)
-	})
+	cs.body = wire.AppendQueryBody(cs.body[:0], session, requestID, cs.items)
+	body, err := c.call(cs, opMutating, wire.OpQuery, wire.OpQueryOK)
 	if err != nil {
 		return nil, err
 	}
+	// body aliases cs: the decode allocates Results afresh, and the
+	// string conversion copies the correlation ID.
 	var qr wire.QueryResponse
 	if err := wire.DecodeQueryOKBody(body, &qr); err != nil {
 		return nil, err
@@ -858,9 +920,10 @@ func (c *Client) QueryID(session, requestID string, items []QueryItem) (*BatchRe
 // Status fetches a session's current state. Status is read-only and
 // retries through any transport failure.
 func (c *Client) Status(session string) (*SessionStatus, error) {
-	body, err := c.call(opIdempotent, wire.OpStatusOK, func(id uint64) []byte {
-		return wire.AppendIDBody(wire.AppendHeader(nil, wire.OpStatus, id), session)
-	})
+	cs := callPool.Get().(*callState)
+	defer cs.release()
+	cs.body = wire.AppendIDBody(cs.body[:0], session)
+	body, err := c.call(cs, opIdempotent, wire.OpStatus, wire.OpStatusOK)
 	if err != nil {
 		return nil, err
 	}
@@ -875,9 +938,10 @@ func (c *Client) Status(session string) (*SessionStatus, error) {
 // unanswered delete fails with ErrAmbiguous (a retry could report
 // not_found for a delete that actually succeeded).
 func (c *Client) Delete(session string) error {
-	_, err := c.call(opMutating, wire.OpDeleteOK, func(id uint64) []byte {
-		return wire.AppendIDBody(wire.AppendHeader(nil, wire.OpDelete, id), session)
-	})
+	cs := callPool.Get().(*callState)
+	defer cs.release()
+	cs.body = wire.AppendIDBody(cs.body[:0], session)
+	_, err := c.call(cs, opMutating, wire.OpDelete, wire.OpDeleteOK)
 	return err
 }
 

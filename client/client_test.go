@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -22,13 +23,14 @@ import (
 	"time"
 
 	"github.com/dpgo/svt/client"
+	"github.com/dpgo/svt/internal/fault"
 	"github.com/dpgo/svt/server"
 	"github.com/dpgo/svt/wire"
 )
 
 // startServer runs a WireServer for an in-memory manager on an ephemeral
 // loopback port and tears both down with the test.
-func startServer(t *testing.T, cfg server.WireConfig) (string, *server.WireServer) {
+func startServer(t testing.TB, cfg server.WireConfig) (string, *server.WireServer) {
 	t.Helper()
 	m := server.NewSessionManager(server.ManagerConfig{})
 	t.Cleanup(m.Close)
@@ -37,7 +39,7 @@ func startServer(t *testing.T, cfg server.WireConfig) (string, *server.WireServe
 
 // serveManager runs a WireServer for m on an ephemeral loopback port and
 // tears it down with the test.
-func serveManager(t *testing.T, m *server.SessionManager, cfg server.WireConfig) (string, *server.WireServer) {
+func serveManager(t testing.TB, m *server.SessionManager, cfg server.WireConfig) (string, *server.WireServer) {
 	t.Helper()
 	ws := server.NewWireServer(m, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -53,7 +55,7 @@ func serveManager(t *testing.T, m *server.SessionManager, cfg server.WireConfig)
 	return ln.Addr().String(), ws
 }
 
-func dial(t *testing.T, addr string, opts client.Options) *client.Client {
+func dial(t testing.TB, addr string, opts client.Options) *client.Client {
 	t.Helper()
 	if opts.DialTimeout == 0 {
 		opts.DialTimeout = 5 * time.Second
@@ -441,6 +443,32 @@ func TestClientRetriesUnavailable(t *testing.T) {
 	}
 }
 
+// TestClientOversizedRetryHint: a retry hint too long for a
+// time.Duration saturates rather than wraps. In nanoseconds, 18,446,744,074
+// s wraps to about 290 ms and 2⁶³ s to 0, and each would read as a short
+// wait worth retrying. Saturated, each exceeds MaxRetryAfter, so the error
+// reaches the caller with no retry.
+func TestClientOversizedRetryHint(t *testing.T) {
+	for _, secs := range []uint64{18_446_744_074, 1 << 63} {
+		addr := fakeWireServer(t, func(_ int, _ byte, id uint64, _ []byte) []byte {
+			return wire.AppendErrorBody(wire.AppendHeader(nil, wire.OpError, id),
+				&wire.ErrorFrame{Code: "unavailable", Message: "shedding", RetryAfterSeconds: secs})
+		})
+		c := dial(t, addr, client.Options{})
+		_, err := c.Query("s", []client.QueryItem{{Query: 0}})
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Code != "unavailable" {
+			t.Fatalf("hint of %d s: Query = %v, want the APIError unavailable", secs, err)
+		}
+		if ae.RetryAfter <= client.DefaultRetryPolicy().MaxRetryAfter {
+			t.Fatalf("hint of %d s: RetryAfter = %v, want above MaxRetryAfter", secs, ae.RetryAfter)
+		}
+		if st := c.Stats(); st.Retries != 0 {
+			t.Fatalf("hint of %d s: Retries = %d, want 0", secs, st.Retries)
+		}
+	}
+}
+
 // TestClientReconnectRetriesIdempotent: the connection dies after a
 // read-only request was delivered; the client must redial and retry it.
 func TestClientReconnectRetriesIdempotent(t *testing.T) {
@@ -723,4 +751,82 @@ func TestClientTornBurstBudgetExact(t *testing.T) {
 	if st.Answered < acked || st.Answered > acked+ambiguous {
 		t.Fatalf("Answered = %d, want between %d acked and %d acked+ambiguous: a retried call spent budget twice", st.Answered, acked, acked+ambiguous)
 	}
+}
+
+// TestClientRoutesResponsesUnderTears: goroutines sharing one Client tag
+// every query with their own correlation ID while a seeded schedule tears
+// the connection's writes and reads mid-burst, again and again. Every
+// response must reach only the call that sent it: a success carries its
+// own request ID and one result per query it asked, and a failure is
+// ErrAmbiguous. The server's answered count shows that no retry spent
+// budget twice.
+func TestClientRoutesResponsesUnderTears(t *testing.T) {
+	addr, _ := startServer(t, server.WireConfig{})
+	sess, err := dial(t, addr, client.Options{}).Create(neverHalting())
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	// Past the first handshake, a Write tears inside its first frame or a
+	// few frames in, and a Read inside its first or second response.
+	sched := fault.NewSchedule(27,
+		fault.Rule{Op: fault.OpWrite, After: 1, Prob: 0.02, Tear: true, TearAfter: 5},
+		fault.Rule{Op: fault.OpWrite, After: 1, Prob: 0.1, Tear: true, TearAfter: 400},
+		fault.Rule{Op: fault.OpRead, After: 1, Prob: 0.1, Tear: true, TearAfter: 30},
+	)
+	c := dial(t, addr, client.Options{
+		// Enough attempts that a call fails only as ambiguous: a torn
+		// handshake or an unsent frame is always retried.
+		Retry: &client.RetryPolicy{MaxAttempts: 1 << 20, BaseBackoff: time.Microsecond, MaxBackoff: time.Millisecond},
+		Dialer: func(a string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", a)
+			if err != nil {
+				return nil, err
+			}
+			return fault.WrapConn(conn, sched), nil
+		},
+	})
+
+	const goroutines, perG = 64, 200
+	var acked, ambiguous atomic.Int64 // queries, summed over calls
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perG {
+				corr := fmt.Sprintf("g%d-q%d", g, i)
+				items := make([]client.QueryItem, 1+(g+i)%3)
+				res, err := c.QueryID(sess.ID, corr, items)
+				switch {
+				case err == nil:
+					if res.RequestID != corr || len(res.Results) != len(items) {
+						t.Errorf("call %s got a response for %q with %d results, want its own with %d", corr, res.RequestID, len(res.Results), len(items))
+						return
+					}
+					acked.Add(int64(len(items)))
+				case errors.Is(err, client.ErrAmbiguous):
+					ambiguous.Add(int64(len(items)))
+				default:
+					t.Errorf("call %s = %v, want success or ErrAmbiguous", corr, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if w, r := sched.Injected(fault.OpWrite), sched.Injected(fault.OpRead); w == 0 || r == 0 {
+		t.Fatalf("tears fired on %d writes and %d reads, want both", w, r)
+	}
+	st, err := dial(t, addr, client.Options{}).Status(sess.ID)
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	lo, hi := acked.Load(), acked.Load()+ambiguous.Load()
+	if n := int64(st.Answered); n < lo || n > hi {
+		t.Fatalf("Answered = %d, want between %d acked and %d acked+ambiguous queries", n, lo, hi)
+	}
+	t.Logf("%d reconnects; %d queries acked, %d ambiguous", c.Stats().Reconnects, lo, ambiguous.Load())
 }
