@@ -7,12 +7,13 @@
 // callers behind it can buffer theirs, then flushes them all in one
 // Write.
 //
-// A Query takes the client's mutex twice (for the server's batch cap and
-// the live connection), the connection's mutex once to register its
-// request ID, and the write mutex once, or twice when it leads a flush.
-// The response reader takes the connection's mutex once per response.
-// Each call's wake channel and request and response buffers come from a
-// pool, so a steady-state Query allocates only what it returns: the
+// A Query takes no client-wide lock: the live connection and the caps its
+// handshake announced sit behind an atomic pointer. It takes the
+// connection's mutex once to register its request ID and the write mutex
+// once, or twice when it leads a flush, then waits on its own wake channel
+// alone. The response reader takes the connection's mutex once per
+// response. Each call's wake channel and request and response buffers come
+// from a pool, so a steady-state Query allocates only what it returns: the
 // *BatchResult, its Results and its RequestID.
 //
 // The SDK is registry-driven: it fetches GET /v1/mechanisms' capability
@@ -202,10 +203,15 @@ type Client struct {
 
 	nextID atomic.Uint64
 
-	mu     sync.Mutex
-	cc     *clientConn // live connection epoch; nil after it broke
-	hello  wire.HelloOK
-	closed bool
+	// live is the current connection epoch, with the hello it was dialed
+	// with. Calls load it without a lock. Only a reconnect replaces it, and
+	// nothing clears it, so the caps it carries stay readable after Close.
+	live   atomic.Pointer[clientConn]
+	closed atomic.Bool
+	// mu orders Close against a reconnect publishing its epoch: either
+	// Close sees the new epoch and closes it, or the reconnect sees closed
+	// and closes it itself.
+	mu sync.Mutex
 	// closedCh interrupts backoff sleeps when the client is closed.
 	closedCh chan struct{}
 	// dialMu serializes reconnect attempts without blocking Close.
@@ -243,13 +249,18 @@ type clientConn struct {
 }
 
 // callState is one call's pooled state, reused by its retries and then by
-// later calls. The reader takes it out of pending, copies the response
-// into it and sends on wake. So the call owns it again once it has
-// received the wake, or has itself removed it from pending: only then may
-// the call retry, return or recycle it.
+// later calls. Each time the call registers it in pending, exactly one
+// party takes it out again and sends on wake: the reader, after copying
+// the response into it, or close, after marking it with the epoch's
+// error. So the call owns it again once it has received the wake: only
+// then may the call retry, return or recycle it.
 type callState struct {
-	// wake has one slot, so the reader's send never blocks.
+	// wake has one slot and gets one send per registration, so neither
+	// the reader's send nor close's ever blocks.
 	wake chan struct{}
+	// err is the fatal error of the epoch that died with the call still
+	// registered; nil when the reader delivered a response.
+	err error
 	// body is the request body, encoded once per call; req is one
 	// attempt's payload: the header for its request ID, then body.
 	body []byte
@@ -317,8 +328,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.cc = cc
-	c.hello = cc.hello
+	c.live.Store(cc)
 	return c, nil
 }
 
@@ -399,28 +409,20 @@ func (c *Client) handshake(cc *clientConn) error {
 // conn returns the live epoch, re-dialing if the previous one broke.
 // Exactly one dial attempt: the caller's retry loop owns backoff.
 func (c *Client) conn() (*clientConn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Load() {
 		return nil, ErrClosed
 	}
-	cc := c.cc
-	c.mu.Unlock()
-	if cc != nil && !cc.dead() {
+	if cc := c.live.Load(); !cc.dead() {
 		return cc, nil
 	}
 	c.dialMu.Lock()
 	defer c.dialMu.Unlock()
 	// Re-check under dialMu: another caller may have already reconnected
 	// (or Close may have run) while this one waited.
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Load() {
 		return nil, ErrClosed
 	}
-	cc = c.cc
-	c.mu.Unlock()
-	if cc != nil && !cc.dead() {
+	if cc := c.live.Load(); !cc.dead() {
 		return cc, nil
 	}
 	ncc, err := c.dialConn()
@@ -429,13 +431,12 @@ func (c *Client) conn() (*clientConn, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	if c.closed {
+	if c.closed.Load() {
 		c.mu.Unlock()
 		ncc.close(ErrClosed)
 		return nil, ErrClosed
 	}
-	c.cc = ncc
-	c.hello = ncc.hello
+	c.live.Store(ncc)
 	c.mu.Unlock()
 	c.reconnects.Add(1)
 	return ncc, nil
@@ -475,8 +476,8 @@ func (cc *clientConn) readLoop(maxFrame int) {
 		if cs != nil {
 			// The frame buffer is reused for the next read: copy the body
 			// into the waiter's own buffer. Nothing may fail between taking
-			// cs and the wake, because a waiter that finds cs gone from
-			// pending waits for it.
+			// cs and the wake: close wakes only the states still in
+			// pending, so this call waits for this send.
 			cs.op, cs.resp = op, append(cs.resp[:0], body...)
 			cs.wake <- struct{}{}
 		}
@@ -484,15 +485,26 @@ func (cc *clientConn) readLoop(maxFrame int) {
 }
 
 // close ends the epoch: it records the first fatal error, wakes every
-// waiter, then closes the socket, so the server sees the hang-up and a
-// flush blocked on the socket returns. Recording first means waiters
-// observe the cause (ErrClosed after Client.Close) rather than the read
-// loop's "use of closed network connection".
+// call still waiting for a response, then closes the socket, so the
+// server sees the hang-up and a flush blocked on the socket returns.
+// Recording first means waiters observe the cause (ErrClosed after
+// Client.Close) rather than the read loop's "use of closed network
+// connection".
 func (cc *clientConn) close(err error) error {
 	cc.mu.Lock()
 	if cc.err == nil {
 		cc.err = err
 		close(cc.done)
+		// The reader removes a state from pending under this lock before
+		// it wakes it, so every state left here is one only close will
+		// wake. The send cannot block: the state's one-slot wake is empty,
+		// because its call received the single wake of every earlier
+		// registration before registering again.
+		for _, cs := range cc.pending {
+			cs.err = err
+			cs.wake <- struct{}{}
+		}
+		clear(cc.pending)
 	}
 	cc.mu.Unlock()
 	return cc.conn.Close()
@@ -502,25 +514,15 @@ func (cc *clientConn) close(err error) error {
 // ErrClosed (never ErrAmbiguous, and never a reconnect).
 func (c *Client) Close() error {
 	c.mu.Lock()
-	if c.closed {
+	if c.closed.Load() {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
+	c.closed.Store(true)
 	close(c.closedCh)
-	cc := c.cc
-	c.cc = nil
+	cc := c.live.Load()
 	c.mu.Unlock()
-	if cc != nil {
-		return cc.close(ErrClosed)
-	}
-	return nil
-}
-
-func (c *Client) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
+	return cc.close(ErrClosed)
 }
 
 // Stats snapshots the self-healing counters.
@@ -587,23 +589,13 @@ func (cc *clientConn) roundTrip(id uint64, cs *callState) (sent bool, err error)
 		cc.wmu.Unlock()
 	}
 
-	select {
-	case <-cs.wake:
-		return true, nil
-	case <-cc.done:
-	}
-	cc.mu.Lock()
-	err = cc.err
-	_, unanswered := cc.pending[id]
-	delete(cc.pending, id)
-	cc.mu.Unlock()
-	if !unanswered {
-		// The reader took cs before the epoch died and is copying the
-		// response in. Wait for it: the answer beats reporting ambiguity,
-		// and cs must not be reused while the reader writes to it.
-		<-cs.wake
+	// The one wake comes from the reader with the response, or from close
+	// when the epoch died first.
+	<-cs.wake
+	if cs.err == nil {
 		return true, nil
 	}
+	err, cs.err = cs.err, nil
 	// Taking wmu waits out any flush still in progress (close unblocks
 	// it), so the count read here is final.
 	cc.wmu.Lock()
@@ -668,7 +660,7 @@ func backoff(pol RetryPolicy, attempt int) time.Duration {
 // sleep waits d or until the client is closed, reporting false on close.
 func (c *Client) sleep(d time.Duration) bool {
 	if d <= 0 {
-		return !c.isClosed()
+		return !c.closed.Load()
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -726,7 +718,7 @@ func (c *Client) call(cs *callState, kind opKind, op, want byte) ([]byte, error)
 		}
 		// Transport-level failure. Close always wins: pending calls on a
 		// user-closed client fail fast with the typed error.
-		if errors.Is(err, ErrClosed) || c.isClosed() {
+		if errors.Is(err, ErrClosed) || c.closed.Load() {
 			return nil, ErrClosed
 		}
 		if sent && kind == opMutating {
@@ -948,15 +940,11 @@ func (c *Client) Delete(session string) error {
 // ServerMaxBatch reports the per-batch query cap the server announced in
 // the (most recent) handshake.
 func (c *Client) ServerMaxBatch() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int(c.hello.MaxBatch)
+	return int(c.live.Load().hello.MaxBatch)
 }
 
 // ServerMaxFrame reports the frame-size cap the server announced in the
 // (most recent) handshake.
 func (c *Client) ServerMaxFrame() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int(c.hello.MaxFrame)
+	return int(c.live.Load().hello.MaxFrame)
 }

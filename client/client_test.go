@@ -369,8 +369,9 @@ func TestClientCloseRacesInFlight(t *testing.T) {
 
 // fakeWireServer speaks just enough of the protocol to script failure
 // modes the real server won't produce on demand: handle returns the
-// response payload for a request, or nil to drop the connection right
-// there. The hello handshake is answered automatically. conn is the
+// response payload for a request, nil to drop the connection right there,
+// or an empty payload to leave the request unanswered. The hello
+// handshake is answered automatically. conn is the
 // 0-based accept ordinal, so scripts can behave differently across
 // reconnects.
 func fakeWireServer(t *testing.T, handle func(conn int, op byte, id uint64, body []byte) []byte) string {
@@ -410,6 +411,9 @@ func fakeWireServer(t *testing.T, handle func(conn int, op byte, id uint64, body
 					resp := handle(connNo, op, id, body)
 					if resp == nil {
 						return
+					}
+					if len(resp) == 0 {
+						continue
 					}
 					if wire.WriteFrame(bw, resp) != nil || bw.Flush() != nil {
 						return
@@ -518,6 +522,76 @@ func TestClientAmbiguousQuery(t *testing.T) {
 	if st := c.Stats(); st.Ambiguous != 1 {
 		t.Fatalf("Ambiguous = %d, want 1", st.Ambiguous)
 	}
+}
+
+// TestClientCloseWithEveryCallParked parks 32 queries on a server that
+// reads every frame and answers none, so each call waits on its own wake
+// and only the epoch's close can deliver it. After Client.Close every call
+// returns ErrClosed, never ErrAmbiguous, and promptly. When instead the
+// server drops the connection after reading all 32 frames, every call was
+// delivered and none answered, so every one is ErrAmbiguous.
+func TestClientCloseWithEveryCallParked(t *testing.T) {
+	const callers = 32
+	// park starts the callers against a server whose handle is drop for
+	// the last query frame read and no answer for the others, waits until
+	// the server has read every frame, and returns the calls' errors.
+	park := func(t *testing.T, drop []byte) (*client.Client, <-chan error) {
+		var read atomic.Int64
+		allRead := make(chan struct{})
+		addr := fakeWireServer(t, func(_ int, op byte, _ uint64, _ []byte) []byte {
+			if op == wire.OpQuery && read.Add(1) == callers {
+				close(allRead)
+				return drop
+			}
+			return []byte{}
+		})
+		c := dial(t, addr, client.Options{})
+		errs := make(chan error, callers)
+		for i := 0; i < callers; i++ {
+			go func() {
+				_, err := c.Query("s", []client.QueryItem{{Query: 0, Threshold: client.Float(1)}})
+				errs <- err
+			}()
+		}
+		select {
+		case <-allRead:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the server read %d of %d query frames", read.Load(), callers)
+		}
+		return c, errs
+	}
+	// collect waits a bounded time for every call to return.
+	collect := func(t *testing.T, errs <-chan error, want error) {
+		deadline := time.After(5 * time.Second)
+		for i := 0; i < callers; i++ {
+			select {
+			case err := <-errs:
+				if !errors.Is(err, want) {
+					t.Errorf("parked Query = %v, want %v", err, want)
+				}
+			case <-deadline:
+				t.Fatalf("%d of %d parked calls had not returned after 5s", callers-i, callers)
+			}
+		}
+	}
+
+	t.Run("Close", func(t *testing.T) {
+		c, errs := park(t, []byte{})
+		if err := c.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		collect(t, errs, client.ErrClosed)
+		if st := c.Stats(); st.Ambiguous != 0 || st.Reconnects != 0 {
+			t.Fatalf("Stats after Close = %+v, want no ambiguous calls and no reconnect", st)
+		}
+	})
+	t.Run("ServerDrop", func(t *testing.T) {
+		c, errs := park(t, nil)
+		collect(t, errs, client.ErrAmbiguous)
+		if st := c.Stats(); st.Ambiguous != callers {
+			t.Fatalf("Ambiguous = %d, want %d", st.Ambiguous, callers)
+		}
+	})
 }
 
 // TestClientMechanismsOrder: the registry comes back in the server's

@@ -52,7 +52,7 @@ func TestCreateOptionsKeepFiniteEpsilon(t *testing.T) {
 							if i > 0 || world > 0 {
 								t.Fatalf("create %d in world %d: %v", i, world, err)
 							}
-							if f := classify(err, ""); f.code != CodeBadRequest {
+							if f := classify(err, nil); f.code != CodeBadRequest {
 								t.Fatalf("refused as %s, want %s: %v", f.code, CodeBadRequest, err)
 							}
 							if p.CacheSize != 0 && !strings.Contains(err.Error(), "no finite ε") {

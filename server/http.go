@@ -325,7 +325,7 @@ func (a *API) handleSessions(w http.ResponseWriter, r *http.Request) {
 	params.Tenant = r.Header.Get(TenantHeader)
 	s, err := a.mgr.Create(params)
 	if err != nil {
-		a.writeError(w, classify(err, ""))
+		a.writeError(w, classify(err, nil))
 		return
 	}
 	a.writeJSON(w, http.StatusCreated, CreateResponse{
@@ -376,6 +376,7 @@ type queryScratch struct {
 	thresholds []float64
 	buckets    []int
 	buf        []byte // body read, then reused for the response encode
+	id         []byte // the path's session ID, as the pipeline takes it
 	call       queryCall
 }
 
@@ -429,7 +430,7 @@ func (a *API) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tp, _, _ := trace.ParseTraceparent(r.Header.Get("Traceparent"))
 	a.queries.begin(q, r.Header.Get("X-Request-Id"), tp)
 	defer q.root.End()
-	w.Header().Set("X-Request-Id", q.corr)
+	w.Header().Set("X-Request-Id", q.requestID())
 	if q.root != nil {
 		w.Header().Set("Traceparent", trace.FormatTraceparent(q.root.TraceID(), q.root.SpanID()))
 		if sw, ok := w.(*statusWriter); ok {
@@ -447,7 +448,8 @@ func (a *API) handleQuery(w http.ResponseWriter, r *http.Request) {
 		a.writeError(w, a.bodyFailure(err))
 		return
 	}
-	res, f := a.queries.run(q, r.PathValue("id"), items)
+	sc.id = append(sc.id[:0], r.PathValue("id")...)
+	res, f := a.queries.run(q, sc.id, items)
 	if f.code != "" {
 		a.writeError(w, f)
 		return

@@ -16,7 +16,10 @@ import (
 // call, the slow-query line and error classification — exist once, so
 // the two edges cannot drift apart. HTTP serves each request with run;
 // the wire edge calls run's halves, admit and finish, around the one
-// journal transaction of its read pass.
+// journal transaction of its read pass. A request names its session by the
+// ID's bytes, held in the edge's scratch: a string of them is made only
+// where one is kept, for a sampled trace's attribute, a not-found message
+// or the slow-query line.
 type queryPipeline struct {
 	mgr    *SessionManager
 	tracer *trace.Tracer
@@ -33,8 +36,11 @@ type queryPipeline struct {
 // queryCall is one request's pass through the pipeline. Edges keep it in
 // their pooled scratch, so the steady state allocates nothing for it.
 type queryCall struct {
-	// corr is the caller's correlation ID, or the one minted for it.
-	corr string
+	// corr is the caller's correlation ID. Without one, minted is the ID
+	// minted for the request, and corr its string once something keeps
+	// it (see requestID).
+	corr   string
+	minted uint64
 	// root and decode are the request's root span and its decode child,
 	// both nil unless the request is trace-sampled.
 	root, decode *trace.Span
@@ -53,6 +59,28 @@ func (q *queryCall) reset() {
 	q.corr, q.root, q.decode, q.trace, q.tr = "", nil, nil, QueryTrace{}, nil
 }
 
+// requestID returns the request's correlation ID as a string, making the
+// string of a minted ID on first use: for a trace root, the HTTP
+// X-Request-Id header or the slow-query line.
+func (q *queryCall) requestID() string {
+	if q.corr == "" {
+		var b [16]byte
+		q.corr = string(appendRequestID(b[:0], q.minted))
+	}
+	return q.corr
+}
+
+// appendRequestID appends the request's correlation ID to b, without
+// making a string of a minted one.
+//
+//svt:hotpath
+func (q *queryCall) appendRequestID(b []byte) []byte {
+	if q.corr != "" {
+		return append(b, q.corr...)
+	}
+	return appendRequestID(b, q.minted)
+}
+
 // begin correlates and head-samples one request. corr is the caller's
 // correlation ID ("" mints one) and tp the trace ID of a valid caller
 // traceparent (zero when there is none). A request carrying either is
@@ -64,12 +92,12 @@ func (q *queryCall) reset() {
 //svt:hotpath
 func (p *queryPipeline) begin(q *queryCall, corr string, tp trace.TraceID) {
 	forced := corr != "" || !tp.IsZero()
+	q.corr, q.minted, q.root, q.decode = corr, 0, nil, nil
 	if corr == "" {
-		corr = newRequestID()
+		q.minted = newRequestID()
 	}
-	q.corr, q.root, q.decode = corr, nil, nil
 	if p.tracer.Sample(forced) {
-		q.root = p.tracer.StartRoot(p.edge, p.route, corr, tp)
+		q.root = p.tracer.StartRoot(p.edge, p.route, q.requestID(), tp)
 		q.decode = q.root.StartChild("decode")
 	}
 }
@@ -80,14 +108,14 @@ func (p *queryPipeline) begin(q *queryCall, corr string, tp trace.TraceID) {
 // next run on q. A failure with an empty code means success.
 //
 //svt:hotpath
-func (p *queryPipeline) run(q *queryCall, session string, items []QueryItem) (BatchResult, failure) {
+func (p *queryPipeline) run(q *queryCall, session []byte, items []QueryItem) (BatchResult, failure) {
 	if f := p.admit(q, session, items); f.code != "" {
 		return BatchResult{}, f
 	}
 	res, err := p.mgr.queryInto(session, items, q.results[:0], q.tr)
 	if p.slowNanos > 0 {
 		if dur := telemetry.Now() - q.start; dur >= p.slowNanos {
-			p.logSlowQuery(q.tr, session, len(items), dur, err)
+			p.logSlowQuery(q, session, len(items), dur, err)
 		}
 	}
 	return p.finish(q, session, res, err)
@@ -100,7 +128,7 @@ func (p *queryPipeline) run(q *queryCall, session string, items []QueryItem) (Ba
 // manager.
 //
 //svt:hotpath
-func (p *queryPipeline) admit(q *queryCall, session string, items []QueryItem) failure {
+func (p *queryPipeline) admit(q *queryCall, session []byte, items []QueryItem) failure {
 	q.decode.End()
 	switch n := len(items); {
 	case n == 0:
@@ -108,8 +136,10 @@ func (p *queryPipeline) admit(q *queryCall, session string, items []QueryItem) f
 	case n > p.maxBatch:
 		return p.batchTooLarge(n)
 	}
-	q.root.SetAttr("session", session)
-	q.root.SetAttrInt("batch", int64(len(items)))
+	if q.root != nil {
+		q.root.SetAttr("session", string(session))
+		q.root.SetAttrInt("batch", int64(len(items)))
+	}
 	if p.slowNanos > 0 || q.root != nil {
 		q.start = telemetry.Now()
 		q.trace = QueryTrace{TraceID: q.corr, Span: q.root}
@@ -122,7 +152,7 @@ func (p *queryPipeline) admit(q *queryCall, session string, items []QueryItem) f
 // result slice for the next request on q and classifies the error.
 //
 //svt:hotpath
-func (p *queryPipeline) finish(q *queryCall, session string, res BatchResult, err error) (BatchResult, failure) {
+func (p *queryPipeline) finish(q *queryCall, session []byte, res BatchResult, err error) (BatchResult, failure) {
 	if cap(res.Results) > cap(q.results) {
 		q.results = res.Results[:0]
 	}
@@ -144,10 +174,11 @@ func (p *queryPipeline) batchTooLarge(n int) failure {
 // chase the latency: the trace ID, the session, its mechanism, the batch
 // size, the total duration, and how much of it was spent waiting on the
 // WAL group-commit flush.
-func (p *queryPipeline) logSlowQuery(tr *QueryTrace, id string, batch int, dur int64, err error) {
+func (p *queryPipeline) logSlowQuery(q *queryCall, session []byte, batch int, dur int64, err error) {
+	tr := q.tr
 	attrs := []any{
-		slog.String("traceId", tr.TraceID),
-		slog.String("session", id),
+		slog.String("traceId", q.requestID()),
+		slog.String("session", string(session)),
 		slog.String("mechanism", string(tr.Mechanism)),
 		slog.Int("batch", batch),
 		slog.Duration("duration", time.Duration(dur)),
@@ -170,12 +201,13 @@ type failure struct {
 }
 
 // classify maps a manager error to the failure both edges send; session
-// names the request's session for the not-found message. The two
-// journal failures are retryable and carry the default retry hint.
-func classify(err error, session string) failure {
+// names the request's session for the not-found message, the only place
+// its string is made. The two journal failures are retryable and carry
+// the default retry hint.
+func classify(err error, session []byte) failure {
 	switch {
 	case errors.Is(err, ErrSessionNotFound):
-		return noSuchSession(session)
+		return noSuchSession(string(session))
 	case errors.Is(err, ErrTooManySessions):
 		return failure{CodeTooManySessions, err.Error(), 0}
 	case errors.Is(err, ErrUnavailable):

@@ -428,26 +428,28 @@ func (m *SessionManager) servedNames() string {
 	return strings.Join(names, ", ")
 }
 
-// shardFor maps a session ID to its stripe by FNV-1a hash, inlined so the
-// per-request routing allocates nothing (hash.Hash32 escapes; this loop
-// does not). Only the first 16 bytes feed the hash: server-issued IDs are
-// random hex, whose prefix alone carries far more entropy than any shard
-// count needs, and shard placement is purely an in-process concern.
+// shardFor maps a session ID to its stripe.
 func (m *SessionManager) shardFor(id string) *shard {
+	return m.shards[shardHash(id)%uint32(len(m.shards))]
+}
+
+// shardHash is the FNV-1a hash that places a session ID, as a string or
+// as a request's bytes, inlined so the per-request routing allocates
+// nothing (hash.Hash32 escapes; this loop does not). Only the first 16
+// bytes feed the hash: server-issued IDs are random hex, whose prefix
+// alone carries far more entropy than any shard count needs, and shard
+// placement is purely an in-process concern.
+func shardHash[ID string | []byte](id ID) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
 	)
-	n := len(id)
-	if n > 16 {
-		n = 16
-	}
 	h := uint32(offset32)
-	for i := 0; i < n; i++ {
+	for i := range min(len(id), 16) {
 		h ^= uint32(id[i])
 		h *= prime32
 	}
-	return m.shards[h%uint32(len(m.shards))]
+	return h
 }
 
 // newID returns a fresh 128-bit random session ID.
@@ -525,13 +527,31 @@ func (m *SessionManager) create(p CreateParams) (*Session, *shard, error) {
 func (m *SessionManager) Get(id string) (*Session, bool) {
 	sh := m.shardFor(id)
 	sh.mu.RLock()
-	s, ok := sh.sessions[id]
+	s := sh.sessions[id]
 	sh.mu.RUnlock()
-	if !ok {
+	return m.alive(sh, s, m.now())
+}
+
+// getBytes is Get for an ID still in a request's bytes, at a clock reading
+// the caller takes once for its whole journal transaction. Indexing the
+// map with the converted bytes makes no string.
+func (m *SessionManager) getBytes(id []byte, now time.Time) (*Session, bool) {
+	sh := m.shards[shardHash(id)%uint32(len(m.shards))]
+	sh.mu.RLock()
+	s := sh.sessions[string(id)]
+	sh.mu.RUnlock()
+	return m.alive(sh, s, now)
+}
+
+// alive finishes a lookup that found s (nil for none) in sh: it refreshes
+// a live session's idle deadline, and collects an expired one and reports
+// it absent.
+func (m *SessionManager) alive(sh *shard, s *Session, now time.Time) (*Session, bool) {
+	if s == nil {
 		return nil, false
 	}
-	now := m.now()
 	if s.expired(now) {
+		id := s.id
 		sh.mu.Lock()
 		collected := false
 		if cur, stillThere := sh.sessions[id]; stillThere && cur == s && s.expired(now) {
@@ -611,22 +631,21 @@ func exemplarID(tr *QueryTrace) string {
 // the whole response is withheld (ErrStoreAppend): an analyst must never
 // observe a DP release the store could forget.
 func (m *SessionManager) Query(id string, items []QueryItem) (BatchResult, error) {
-	return m.queryInto(id, items, nil, nil)
+	tx := m.beginTx()
+	s, _ := m.Get(id)
+	return tx.queryOne(s, items, nil, nil)
 }
 
-// queryInto is the single-request query entry point: a transaction of
-// one (see journalTx.query). It writes the results into dst's backing
-// array (dst may be nil), so the query pipeline recycles result slices
-// across requests; callers that retain the results pass nil. A non-nil tr
-// is filled with the request's trace details, at the cost of a few clock
-// reads around the journal append.
-func (m *SessionManager) queryInto(id string, items []QueryItem, dst []QueryResult, tr *QueryTrace) (BatchResult, error) {
+// queryInto is the query pipeline's single-request entry point: a
+// transaction of one (see journalTx.query) on the session whose ID is in
+// id. It writes the results into dst's backing array, so the pipeline
+// recycles result slices across requests. A non-nil tr is filled with the
+// request's trace details, at the cost of a few clock reads around the
+// journal append.
+func (m *SessionManager) queryInto(id []byte, items []QueryItem, dst []QueryResult, tr *QueryTrace) (BatchResult, error) {
 	tx := m.beginTx()
-	res, err := tx.query(id, items, dst, tr)
-	if cerr := tx.commit(); cerr != nil {
-		return BatchResult{}, cerr
-	}
-	return res, err
+	s, _ := m.getBytes(id, m.now())
+	return tx.queryOne(s, items, dst, tr)
 }
 
 // observeQuery records one sampled query-latency observation on the

@@ -15,23 +15,29 @@ import (
 	"github.com/dpgo/svt/trace"
 )
 
-// newRequestID mints a 16-hex-char request ID for X-Request-Id echoes
-// and slow-query log lines when the client did not supply one. Request
-// IDs are correlation handles, not secrets: math/rand/v2's per-P ChaCha8
-// generator keeps the mint to one string allocation, which is what lets
-// the hot path mint on every request.
-func newRequestID() string {
-	v := rand.Uint64()
-	if v == 0 {
-		v = 1
+// newRequestID mints a request ID for a request that carried no
+// correlation ID of its own; appendRequestID renders it as the 16
+// lowercase hex digits X-Request-Id echoes, wire responses and slow-query
+// lines carry. Request IDs are correlation handles, not secrets:
+// math/rand/v2's per-P ChaCha8 generator mints without allocating, and
+// the hex digits are written straight into a response, so only a request
+// that keeps the ID as a string pays for one.
+func newRequestID() uint64 {
+	if v := rand.Uint64(); v != 0 {
+		return v
 	}
-	var b [16]byte
+	return 1
+}
+
+// appendRequestID appends v's 16 lowercase hex digits to b.
+//
+//svt:hotpath
+func appendRequestID(b []byte, v uint64) []byte {
 	const digits = "0123456789abcdef"
-	for i := 15; i >= 0; i-- {
-		b[i] = digits[v&0xf]
-		v >>= 4
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>uint(shift)&0xf])
 	}
-	return string(b[:])
+	return b
 }
 
 // TracesResponse is the GET /v1/traces body: recent root spans, newest

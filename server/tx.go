@@ -81,7 +81,8 @@ func (tx *journalTx) add(kind byte, id string) {
 	tx.ends = append(tx.ends, len(tx.buf))
 }
 
-// query answers a batch on session id, writing the results into dst's
+// query answers a batch on session s, the caller's lookup under this
+// transaction (nil when it found none), writing the results into dst's
 // backing array (dst may be nil), and adds the released progress to the
 // transaction. A non-nil tr is filled with the request's trace details;
 // the manager span it opens closes at commit, around the journal wait.
@@ -89,11 +90,10 @@ func (tx *journalTx) add(kind byte, id string) {
 // lock, where the deltas are exact.
 //
 //svt:hotpath
-func (tx *journalTx) query(id string, items []QueryItem, dst []QueryResult, tr *QueryTrace) (BatchResult, error) {
+func (tx *journalTx) query(s *Session, items []QueryItem, dst []QueryResult, tr *QueryTrace) (BatchResult, error) {
 	m := tx.m
 	start, sampled := m.tel.sampleQueryStart()
-	s, ok := m.Get(id)
-	if !ok {
+	if s == nil {
 		return BatchResult{}, ErrSessionNotFound
 	}
 	// Every span call below is nil-safe: when the request is not
@@ -125,6 +125,15 @@ func (tx *journalTx) query(id string, items []QueryItem, dst []QueryResult, tr *
 	}
 	if tr != nil || sampled {
 		tx.waits = append(tx.waits, txWait{s: s, tr: tr, ms: ms, answered: d.answered, start: start, sampled: sampled, ok: err == nil})
+	}
+	return res, err
+}
+
+// queryOne makes tx a transaction of one query and commits it.
+func (tx *journalTx) queryOne(s *Session, items []QueryItem, dst []QueryResult, tr *QueryTrace) (BatchResult, error) {
+	res, err := tx.query(s, items, dst, tr)
+	if cerr := tx.commit(); cerr != nil {
+		return BatchResult{}, cerr
 	}
 	return res, err
 }

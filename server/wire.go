@@ -84,7 +84,9 @@ type WireConfig struct {
 	// peer that goes silent (or stops reading its responses) for this long
 	// is disconnected instead of holding a goroutine and its buffers
 	// forever. Before this knob only Shutdown ever set a deadline. 0
-	// disables (the historical behavior, and what latency benchmarks use).
+	// disables it. svtserve's default (-wire-idle-timeout) and the svtperf
+	// benchmark both set 5 minutes, so every pass they serve pays one clock
+	// read and one deadline update for the re-arm.
 	IdleTimeout time.Duration
 }
 
@@ -277,8 +279,9 @@ func (t *wireTelemetry) count(opIdx int, ok bool) {
 type wireScratch struct {
 	op    byte
 	reqID uint64
-	// session is a query's session or a delete's target.
-	session    string
+	// session is a query's session or a delete's target: the ID's bytes,
+	// copied into the scratch's own buffer.
+	session    []byte
 	req        wire.QueryRequest
 	items      []QueryItem
 	thresholds []float64
@@ -304,7 +307,7 @@ var wireScratchPool = sync.Pool{New: func() any {
 // release recycles a scratch, dropping everything request-scoped first so
 // the pool pins no session state, span or decoded pointers.
 func (sc *wireScratch) release() {
-	sc.session, sc.req.Session, sc.req.Corr = "", nil, nil
+	sc.session, sc.req.Session, sc.req.Corr = sc.session[:0], nil, nil
 	sc.call.reset()
 	sc.params, sc.res, sc.created, sc.err = CreateParams{}, BatchResult{}, nil, nil
 	wireScratchPool.Put(sc)
@@ -589,7 +592,7 @@ func (c *wireConn) queue(op byte, reqID uint64, body []byte) error {
 		if err != nil {
 			f = failure{CodeBadRequest, err.Error(), 0}
 		}
-		sc.session = string(id)
+		sc.session = append(sc.session[:0], id...)
 	}
 	if f.code == "" {
 		c.pending = append(c.pending, sc)
@@ -609,8 +612,10 @@ func (c *wireConn) queue(op byte, reqID uint64, body []byte) error {
 
 // decodeQuery is the wire edge's query decode followed by the pipeline's
 // admission. The session and correlation IDs are copied out of the read
-// buffer; the correlation ID travels in the body, so the pipeline begins
-// after the decode.
+// buffer: the session's bytes into the scratch, a correlation ID into the
+// string the trace keeps (a request that carries one is always sampled).
+// The correlation ID travels in the body, so the pipeline begins after
+// the decode.
 //
 //svt:hotpath
 func (c *wireConn) decodeQuery(sc *wireScratch, body []byte) failure {
@@ -619,7 +624,7 @@ func (c *wireConn) decodeQuery(sc *wireScratch, body []byte) failure {
 	}
 	q := &sc.call
 	c.srv.queries.begin(q, string(sc.req.Corr), c.tpID)
-	sc.session = string(sc.req.Session)
+	sc.session = append(sc.session[:0], sc.req.Session...)
 	sc.req.Session, sc.req.Corr = nil, nil
 	// Convert to the manager's item shape. Thresholds live in a parallel
 	// arena; pointers are taken only after both slices stop growing.
@@ -648,21 +653,25 @@ func (c *wireConn) decodeQuery(sc *wireScratch, body []byte) failure {
 
 // answer runs the pass's queued requests in arrival order as one journal
 // transaction, encodes every response after the commit, and flushes the
-// pass, the responses written in place included.
+// pass, the responses written in place included. The transaction reads
+// the clock once, for every query's expiry check and idle refresh.
 //
 //svt:hotpath
 func (c *wireConn) answer() error {
 	var err error
 	if len(c.pending) > 0 {
-		tx := c.srv.mgr.beginTx()
+		m := c.srv.mgr
+		tx := m.beginTx()
+		now := m.now()
 		for _, sc := range c.pending {
 			switch sc.op {
 			case wire.OpQuery:
-				sc.res, sc.err = tx.query(sc.session, sc.items, sc.call.results[:0], sc.call.tr)
+				s, _ := m.getBytes(sc.session, now)
+				sc.res, sc.err = tx.query(s, sc.items, sc.call.results[:0], sc.call.tr)
 			case wire.OpCreate:
 				sc.created, sc.err = tx.create(sc.params)
 			case wire.OpDelete:
-				sc.found = tx.delete(sc.session)
+				sc.found = tx.delete(string(sc.session))
 			}
 		}
 		cerr := tx.commit()
@@ -699,7 +708,7 @@ func (c *wireConn) respond(sc *wireScratch, cerr error) []byte {
 	case wire.OpCreate:
 		var out []byte
 		if err != nil {
-			out = sc.errorPayload(sc.reqID, classify(err, ""))
+			out = sc.errorPayload(sc.reqID, classify(err, nil))
 		} else {
 			out = sc.jsonPayload(wire.OpCreateOK, sc.reqID, CreateResponse{
 				SessionStatus: sc.created.Status(),
@@ -711,7 +720,7 @@ func (c *wireConn) respond(sc *wireScratch, cerr error) []byte {
 	default:
 		if !sc.found {
 			c.srv.tel.count(wireOpDeleteIdx, false)
-			return sc.errorPayload(sc.reqID, noSuchSession(sc.session))
+			return sc.errorPayload(sc.reqID, noSuchSession(string(sc.session)))
 		}
 		out := wire.AppendHeader(sc.out[:0], wire.OpDeleteOK, sc.reqID)
 		sc.out = out[:0]
@@ -735,7 +744,7 @@ func (c *wireConn) queryResponse(sc *wireScratch, err error) []byte {
 		return out
 	}
 	es := q.root.StartChild("encode")
-	sc.corr = append(sc.corr[:0], q.corr...)
+	sc.corr = q.appendRequestID(sc.corr[:0])
 	out := wire.AppendHeader(sc.out[:0], wire.OpQueryOK, sc.reqID)
 	out = wire.AppendQueryOKBody(out, sc.corr, res.Halted, res.Remaining, res.Results)
 	sc.out = out[:0]

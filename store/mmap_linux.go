@@ -64,8 +64,14 @@ func (r *mmapRegion) sync() error {
 	if !r.active() {
 		return nil
 	}
+	return msync(r.buf)
+}
+
+// msync makes a mapping's dirty pages durable. Variable so tests can hold
+// a sync open.
+var msync = func(buf []byte) error {
 	_, _, errno := syscall.Syscall(syscall.SYS_MSYNC,
-		uintptr(unsafe.Pointer(&r.buf[0])), uintptr(len(r.buf)), uintptr(syscall.MS_SYNC))
+		uintptr(unsafe.Pointer(&buf[0])), uintptr(len(buf)), uintptr(syscall.MS_SYNC))
 	if errno != 0 {
 		return fmt.Errorf("store: msync: %w", errno)
 	}

@@ -155,9 +155,10 @@ type WAL struct {
 
 	// Group-commit state, guarded by mu. pending is the batch the NEXT
 	// flush will write; flushing marks an active leader (which writes
-	// outside mu); paused asks the leader to yield so Rotate can swap the
-	// segment file. freeBatches recycles batch structs (and their encode
-	// buffers), so the steady-state append path allocates nothing.
+	// outside mu) or the interval flusher's msync; paused asks the leader
+	// to yield so Rotate can swap the segment file. freeBatches recycles
+	// batch structs (and their encode buffers), so the steady-state append
+	// path allocates nothing.
 	// Invariant: pending != nil implies a leader is active or about to be
 	// restarted (by Rotate after a pause).
 	pending     *walBatch
@@ -464,22 +465,48 @@ func (w *WAL) flusher(interval time.Duration) {
 		case <-w.flushStop:
 			return
 		case <-ticker.C:
-			w.mu.Lock()
-			if !w.closed {
-				syncStart := time.Now()
-				if err := w.syncSegmentLocked(); err != nil {
-					w.fail(err)
-				} else {
-					w.syncs++
-					if w.inst != nil {
-						// Events 0: an interval sync flushes whatever
-						// bytes are buffered, not a counted batch.
-						w.inst.FlushObserved(Flush{Sync: time.Since(syncStart)})
-					}
-				}
-			}
-			w.mu.Unlock()
+			w.intervalSync()
 		}
+	}
+}
+
+// intervalSync is one flusher tick. In mmap mode the msync runs outside
+// w.mu, holding the flushing slot as the SyncAlways leader does: appends
+// keep landing in the mapping meanwhile, and the next tick covers them,
+// so a power crash still loses at most one interval. Mapping growth,
+// Rotate and Close wait for the slot (through paused and idle) before
+// they touch the mapping. In write() mode, and in mmap mode should a
+// leader hold the slot (only SyncAlways runs one there), the sync stays
+// under w.mu: the write() leader keeps the slot for as long as appends
+// queue, so waiting for it would be a new stall.
+func (w *WAL) intervalSync() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return
+	}
+	syncStart := time.Now()
+	var err error
+	if w.m.active() && !w.flushing {
+		m := w.m
+		w.flushing = true
+		w.mu.Unlock()
+		err = m.sync()
+		w.mu.Lock()
+		w.flushing = false
+		w.idle.Broadcast()
+	} else {
+		err = w.syncSegmentLocked()
+	}
+	if err != nil {
+		w.fail(err)
+		return
+	}
+	w.syncs++
+	if w.inst != nil {
+		// Events 0: an interval sync flushes whatever bytes are
+		// buffered, not a counted batch.
+		w.inst.FlushObserved(Flush{Sync: time.Since(syncStart)})
 	}
 }
 
@@ -656,8 +683,8 @@ func (w *WAL) reserveLocked(need int) ([]byte, error) {
 		}
 		if w.flushing {
 			// Growth swaps the mapping, and an in-flight msync (the
-			// SyncAlways leader runs outside w.mu) must not touch a stale
-			// one: park the leader like Rotate does.
+			// SyncAlways leader's or the interval flusher's, both outside
+			// w.mu) must not touch a stale one: park it like Rotate does.
 			w.paused = true
 			w.idle.Wait()
 			w.paused = false
@@ -951,7 +978,8 @@ func (w *WAL) Rotate() (Rotation, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// Park the flush leader first: it writes the segment file outside w.mu,
-	// and the file must be quiescent before it is sealed and swapped. The
+	// as the interval flusher syncs the mapping, and the file must be
+	// quiescent before it is sealed and swapped. The
 	// paused flag makes the leader yield after its in-flight batch instead
 	// of waiting for the queue to drain, which under sustained load it
 	// never would.
